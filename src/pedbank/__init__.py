@@ -13,7 +13,6 @@ from .attention import (
     FeatureBatch,
     attention_gradients,
     cross_attend,
-    flatten_block,
     init_attention,
     layer_norm,
     load_feature_batch,
@@ -46,7 +45,6 @@ from .hints import (
     TrainConfig,
     backward,
     bce_loss,
-    compose,
     forward_classify,
     init_classifier,
     init_hints,

@@ -10,12 +10,12 @@ verified against central finite differences.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonio
 from .bank import KnowledgeBank
 from .errors import DimensionError, NumericalError, ParseError, PreconditionError
 
@@ -24,6 +24,7 @@ QUERY = "query"
 MODES = (PROPOSAL, QUERY)
 
 ATTENTION_PARAMS_VERSION = 1
+_PARAM_ARRAYS = ("w_q", "w_k", "w_v", "w_o", "gain", "bias")
 
 
 @dataclass(frozen=True)
@@ -164,18 +165,6 @@ def init_attention(
     )
 
 
-def flatten_block(block) -> np.ndarray:
-    """Row-major flatten of an ``(h, w, c)`` block to ``(h*w, c)``.
-
-    Spatial position ``(y, x)`` lands on row ``y*w + x``.
-    """
-    arr = np.asarray(block, dtype=np.float64)
-    if arr.ndim != 3:
-        raise DimensionError(f"block must be 3-d (h, w, c), got shape {arr.shape}")
-    h, w, c = arr.shape
-    return arr.reshape(h * w, c)
-
-
 def layer_norm(rows, gain, bias, eps: float = 1e-5) -> np.ndarray:
     """Standardize each row over the channel axis, then apply the affine map.
 
@@ -302,111 +291,49 @@ def attention_gradients(
 
 def load_feature_batch(path) -> FeatureBatch:
     """Parse a feature batch file: mode, m, h, w, c, and flat row-major data."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    missing = {"mode", "m", "h", "w", "c", "data"} - set(doc)
-    if missing:
-        raise ParseError(f"{path}: missing keys {sorted(missing)}")
+    doc = jsonio.read_document(path, ("mode", "m", "h", "w", "c", "data"))
     mode = doc["mode"]
     if mode not in MODES:
         raise ParseError(f"{path}: mode must be one of {MODES}, got {mode!r}")
-    sizes = {}
-    for key in ("m", "h", "w", "c"):
-        value = doc[key]
-        if not isinstance(value, int) or value < 1:
-            raise ParseError(f"{path}: {key} must be a positive integer")
-        sizes[key] = value
-    if mode == QUERY and (sizes["h"] != 1 or sizes["w"] != 1):
+    m, h, w, c = (jsonio.read_size(doc, key, path) for key in ("m", "h", "w", "c"))
+    if mode == QUERY and (h != 1 or w != 1):
         raise ParseError(f"{path}: query batches require h == w == 1")
-    data = doc["data"]
-    expected = sizes["m"] * sizes["h"] * sizes["w"] * sizes["c"]
-    if (
-        not isinstance(data, list)
-        or len(data) != expected
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in data)
-    ):
-        raise ParseError(f"{path}: data must be a number array of length {expected}")
-    arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ParseError(f"{path}: non-finite data value")
-    if mode == PROPOSAL:
-        blocks = arr.reshape(sizes["m"], sizes["h"], sizes["w"], sizes["c"])
-    else:
-        blocks = arr.reshape(sizes["m"], 1, sizes["c"])
-    return FeatureBatch(mode=mode, blocks=blocks)
+    data = jsonio.read_array(doc, "data", path, (m * h * w * c,))
+    shape = (m, h, w, c) if mode == PROPOSAL else (m, 1, c)
+    return FeatureBatch(mode=mode, blocks=data.reshape(shape))
 
 
 def save_feature_batch(batch: FeatureBatch, path) -> None:
     """Write a feature batch with round-trip exact floats; bytes are
     deterministic for a given batch."""
-    doc = {
-        "mode": batch.mode,
-        "m": batch.m,
-        "h": batch.h,
-        "w": batch.w,
-        "c": batch.c,
-        "data": [float(x) for x in batch.blocks.reshape(-1)],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, allow_nan=False))
-        fh.write("\n")
+    jsonio.write_documents(path, [{
+        "mode": batch.mode, "m": batch.m, "h": batch.h, "w": batch.w, "c": batch.c,
+        "data": batch.blocks.ravel().tolist(),
+    }])
 
 
 def save_attention_params(params: AttentionParams, path) -> None:
     """Serialize attention parameters with round-trip exact floats."""
-    doc = {
-        "version": ATTENTION_PARAMS_VERSION,
-        "heads": params.heads,
-        "d_model": params.d_model,
-        "c": params.c,
-        "d": params.d,
-        "w_q": [[[float(x) for x in row] for row in head] for head in params.w_q],
-        "w_k": [[[float(x) for x in row] for row in head] for head in params.w_k],
-        "w_v": [[[float(x) for x in row] for row in head] for head in params.w_v],
-        "w_o": [[float(x) for x in row] for row in params.w_o],
-        "gain": [float(x) for x in params.gain],
-        "bias": [float(x) for x in params.bias],
-        "eps": params.eps,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, allow_nan=False))
-        fh.write("\n")
+    jsonio.write_documents(path, [{
+        "version": ATTENTION_PARAMS_VERSION, "heads": params.heads, "d_model": params.d_model,
+        "c": params.c, "d": params.d, "eps": params.eps,
+        **{name: getattr(params, name).tolist() for name in _PARAM_ARRAYS},
+    }])
 
 
 def load_attention_params(path) -> AttentionParams:
-    """Parse an attention parameter file written by ``save_attention_params``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    required = {"version", "heads", "d_model", "c", "d", "w_q", "w_k", "w_v", "w_o", "gain", "bias", "eps"}
-    missing = required - set(doc)
-    if missing:
-        raise ParseError(f"{path}: missing keys {sorted(missing)}")
-    if doc["version"] != ATTENTION_PARAMS_VERSION:
-        raise ParseError(
-            f"{path}: unsupported params version {doc['version']!r} "
-            f"(supported: {ATTENTION_PARAMS_VERSION})"
-        )
-    try:
-        return AttentionParams(
-            heads=int(doc["heads"]),
-            d_model=int(doc["d_model"]),
-            w_q=np.asarray(doc["w_q"], dtype=np.float64),
-            w_k=np.asarray(doc["w_k"], dtype=np.float64),
-            w_v=np.asarray(doc["w_v"], dtype=np.float64),
-            w_o=np.asarray(doc["w_o"], dtype=np.float64),
-            gain=np.asarray(doc["gain"], dtype=np.float64),
-            bias=np.asarray(doc["bias"], dtype=np.float64),
-            eps=float(doc["eps"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed parameter arrays ({exc})") from exc
+    """Parse an attention parameter file written by ``save_attention_params``.
+
+    The declared ``heads``, ``d_model``, ``c`` and ``d`` must match the arrays.
+    """
+    sizes = ("heads", "d_model", "c", "d")
+    doc = jsonio.read_document(path, ("version", "eps") + sizes + _PARAM_ARRAYS)
+    jsonio.read_version(doc, path, ATTENTION_PARAMS_VERSION, "params")
+    heads, d_model, c, d = (jsonio.read_size(doc, key, path) for key in sizes)
+    shapes = {
+        "w_q": (heads, c, d_model), "w_k": (heads, d, d_model), "w_v": (heads, d, d_model),
+        "w_o": (heads * d_model, c), "gain": (c,), "bias": (c,),
+    }
+    arrays = {key: jsonio.read_array(doc, key, path, shape) for key, shape in shapes.items()}
+    eps = float(jsonio.read_array(doc, "eps", path, ()))
+    return AttentionParams(heads=heads, d_model=d_model, eps=eps, **arrays)

@@ -8,16 +8,17 @@ writing and after reading, which makes hand-edited files detectable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonio
 from .errors import DimensionError, ParseError, PreconditionError
 from .hints import HintSet
 from .quantizer import Codebook
 
 BANK_FORMAT_VERSION = 1
+_MATRICES = ("f_q", "f_h", "f_k")
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class KnowledgeBank:
 
     def validate(self) -> None:
         """Re-check every invariant; also called by ``save_bank``."""
-        if self.version != BANK_FORMAT_VERSION:
+        if type(self.version) is not int or self.version != BANK_FORMAT_VERSION:
             raise PreconditionError(
                 f"unsupported bank format version {self.version!r} "
                 f"(supported: {BANK_FORMAT_VERSION})"
@@ -79,67 +80,24 @@ def assemble_bank(codebook: Codebook, hints: HintSet, meta: dict[str, str]) -> K
     )
 
 
-def _matrix_to_lists(arr: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in arr]
-
-
-def _lists_to_matrix(value, n: int, dim: int, path, key: str) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != n:
-        raise ParseError(f"{path}: {key} must be a list of {n} rows")
-    for row in value:
-        if (
-            not isinstance(row, list)
-            or len(row) != dim
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
-        ):
-            raise ParseError(f"{path}: {key} rows must be number arrays of length {dim}")
-    return np.asarray(value, dtype=np.float64)
-
-
 def save_bank(bank: KnowledgeBank, path) -> None:
     """Write the bank as one JSON document; output bytes are deterministic."""
     bank.validate()
-    doc = {
-        "version": bank.version,
-        "n": bank.n,
-        "dim": bank.dim,
-        "f_q": _matrix_to_lists(bank.f_q),
-        "f_h": _matrix_to_lists(bank.f_h),
-        "f_k": _matrix_to_lists(bank.f_k),
-        "meta": {str(k): str(v) for k, v in sorted(bank.meta.items())},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, allow_nan=False))
-        fh.write("\n")
+    jsonio.write_documents(path, [{
+        "version": bank.version, "n": bank.n, "dim": bank.dim, "meta": bank.meta,
+        "f_q": bank.f_q.tolist(), "f_h": bank.f_h.tolist(), "f_k": bank.f_k.tolist(),
+    }])
 
 
 def load_bank(path) -> KnowledgeBank:
     """Parse and validate a bank file; a tampered composition is rejected."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    missing = {"version", "n", "dim", "f_q", "f_h", "f_k", "meta"} - set(doc)
-    if missing:
-        raise ParseError(f"{path}: missing keys {sorted(missing)}")
-    version = doc["version"]
-    if not isinstance(version, int) or version != BANK_FORMAT_VERSION:
-        raise ParseError(
-            f"{path}: unsupported bank format version {version!r} "
-            f"(supported: {BANK_FORMAT_VERSION})"
-        )
-    n, dim = doc["n"], doc["dim"]
-    if not isinstance(n, int) or not isinstance(dim, int) or n < 1 or dim < 1:
-        raise ParseError(f"{path}: n and dim must be positive integers")
-    f_q = _lists_to_matrix(doc["f_q"], n, dim, path, "f_q")
-    f_h = _lists_to_matrix(doc["f_h"], n, dim, path, "f_h")
-    f_k = _lists_to_matrix(doc["f_k"], n, dim, path, "f_k")
+    doc = jsonio.read_document(path, ("version", "n", "dim", "meta") + _MATRICES)
+    version = jsonio.read_version(doc, path, BANK_FORMAT_VERSION, "bank format")
+    n, dim = jsonio.read_size(doc, "n", path), jsonio.read_size(doc, "dim", path)
+    matrices = {key: jsonio.read_array(doc, key, path, (n, dim)) for key in _MATRICES}
     meta = doc["meta"]
     if not isinstance(meta, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
     ):
         raise ParseError(f"{path}: meta must map strings to strings")
-    return KnowledgeBank(n=n, dim=dim, f_q=f_q, f_h=f_h, f_k=f_k, meta=meta, version=version)
+    return KnowledgeBank(n=n, dim=dim, meta=meta, version=version, **matrices)

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
 
-from . import attention, bank, embeddings, gradcheck, hints, quantizer
+from . import attention, bank, embeddings, gradcheck, hints, jsonio, quantizer
 from .errors import DimensionError, ParseError, PedbankError, PreconditionError
 
 EXIT_OK = 0
@@ -120,9 +119,7 @@ def cmd_inspect(args) -> int:
         "counts": [int(x) for x in report.counts],
         "groups": {str(i): list(report.groups[i]) for i in range(loaded.n)},
     }
-    with open(groups_out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True))
-        fh.write("\n")
+    jsonio.write_documents(groups_out, [doc])
     csv_out = args.fk_csv_out or f"{args.bank}.fk.csv"
     with open(csv_out, "w", encoding="utf-8") as fh:
         for row in loaded.f_k:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonio
 from .errors import DimensionError, ParseError, PreconditionError
 
 PEDESTRIAN = "pedestrian"
@@ -101,64 +102,46 @@ def parse_embedding_file(path, normalize: bool = False) -> EmbeddingDataset:
     seen_ids: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            where = f"{path}: line {lineno}"
             line = raw.strip()
             if not line:
-                raise ParseError(f"{path}: line {lineno}: blank line")
+                raise ParseError(f"{where}: blank line")
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+                raise ParseError(f"{where}: invalid JSON ({exc.msg})") from exc
             if not isinstance(obj, dict) or set(obj) != {"id", "label", "vector"}:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected an object with keys id, label, vector"
-                )
-            rec_id, label, vector = obj["id"], obj["label"], obj["vector"]
+                raise ParseError(f"{where}: expected an object with keys id, label, vector")
+            rec_id, label = obj["id"], obj["label"]
             if not isinstance(rec_id, str) or not rec_id:
-                raise ParseError(f"{path}: line {lineno}: id must be a non-empty string")
+                raise ParseError(f"{where}: id must be a non-empty string")
             if label not in LABELS:
-                raise ParseError(f"{path}: line {lineno}: unknown label {label!r}")
-            if (
-                not isinstance(vector, list)
-                or not vector
-                or not all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in vector
-                )
-            ):
-                raise ParseError(
-                    f"{path}: line {lineno}: vector must be a non-empty number array"
-                )
-            vec = np.asarray(vector, dtype=np.float64)
-            if not np.all(np.isfinite(vec)):
-                raise ParseError(f"{path}: line {lineno}: non-finite coordinate")
+                raise ParseError(f"{where}: unknown label {label!r}")
+            vec = jsonio.read_array(obj, "vector", where, (None,))
             if dim is None:
                 dim = int(vec.shape[0])
             elif vec.shape[0] != dim:
                 raise DimensionError(
-                    f"{path}: line {lineno}: vector has {vec.shape[0]} coordinates, expected {dim}"
+                    f"{where}: vector has {vec.shape[0]} coordinates, expected {dim}"
                 )
             if rec_id in seen_ids:
-                raise ParseError(f"{path}: line {lineno}: duplicate id {rec_id!r}")
+                raise ParseError(f"{where}: duplicate id {rec_id!r}")
             seen_ids.add(rec_id)
             if normalize:
                 try:
                     vec = l2_normalize(vec)
                 except PreconditionError as exc:
-                    raise PreconditionError(f"{path}: line {lineno}: {exc}") from exc
+                    raise PreconditionError(f"{where}: {exc}") from exc
             records.append(EmbeddingRecord(rec_id, label, vec))
     return EmbeddingDataset(dim=dim, records=tuple(records))
 
 
 def write_embedding_file(dataset: EmbeddingDataset, path) -> None:
     """Serialize a dataset as JSON lines with round-trip exact floats."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in dataset:
-            doc = {
-                "id": rec.id,
-                "label": rec.label,
-                "vector": [float(x) for x in rec.vector],
-            }
-            fh.write(json.dumps(doc, allow_nan=False))
-            fh.write("\n")
+    jsonio.write_documents(
+        path,
+        ({"id": rec.id, "label": rec.label, "vector": rec.vector.tolist()} for rec in dataset),
+    )
 
 
 def split_by_label(dataset: EmbeddingDataset) -> tuple[EmbeddingDataset, EmbeddingDataset]:

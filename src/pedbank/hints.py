@@ -145,16 +145,6 @@ def init_classifier(dim: int, hidden: int, seed: int) -> ClassifierParams:
     return ClassifierParams(w1=w1, b1=np.zeros(hidden), w2=w2, b2=0.0)
 
 
-def compose(codebook: Codebook, hints: HintSet) -> np.ndarray:
-    """Elementwise sum of codewords and hints: the composed bank features."""
-    if (codebook.n, codebook.dim) != (hints.n, hints.dim):
-        raise DimensionError(
-            f"codebook (n, dim)=({codebook.n}, {codebook.dim}) does not match "
-            f"hints ({hints.n}, {hints.dim})"
-        )
-    return codebook.centroids + hints.hints
-
-
 def forward_classify(p, codebook: Codebook, hints: HintSet, classifier: ClassifierParams):
     """Route ``p`` to its nearest codeword and score the composed feature.
 

@@ -1,0 +1,82 @@
+"""Strict JSON documents: the one reader and writer behind the embeddings,
+bank, feature-batch and attention-parameter files.
+
+Numbers are JSON ints or floats, never bools; versions and sizes are JSON
+integers; arrays must have their declared shape and finite values. Every
+violation is a ``ParseError`` naming the file and the key. Writers emit
+sorted keys and shortest round-trip floats, so the same object always
+produces the same bytes.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+from .errors import ParseError
+
+_NUMBERS = {int, float}
+
+
+def read_document(path, keys) -> dict:
+    """Load a JSON object from ``path`` that holds at least ``keys``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    missing = set(keys) - set(doc)
+    if missing:
+        raise ParseError(f"{path}: missing keys {sorted(missing)}")
+    return doc
+
+
+def read_version(doc: dict, where, supported: int, kind: str) -> int:
+    version = doc["version"]
+    if type(version) is not int or version != supported:
+        raise ParseError(
+            f"{where}: unsupported {kind} version {version!r} (supported: {supported})"
+        )
+    return version
+
+
+def read_size(doc: dict, key: str, where) -> int:
+    value = doc[key]
+    if type(value) is not int or value < 1:
+        raise ParseError(f"{where}: {key} must be a positive integer")
+    return value
+
+
+def read_array(doc: dict, key: str, where, shape: tuple) -> np.ndarray:
+    """The value under ``key`` as a float64 array of ``shape``.
+
+    ``None`` in ``shape`` allows any positive length on that axis; ``()``
+    reads a single number.
+    """
+    rows = [[doc[key]]]
+    for axis, size in enumerate(shape):
+        rows = [r for row in rows for r in row]
+        if not all(type(r) is list and (len(r) == size if size else r) for r in rows):
+            want = f"length {size}" if size else "a positive length"
+            raise ParseError(f"{where}: {key} must be a number array with {want} on axis {axis}")
+    if not all(set(map(type, r)) <= _NUMBERS for r in rows):
+        raise ParseError(f"{where}: {key} must hold only numbers")
+    non_finite = ParseError(f"{where}: {key} has a non-finite value")
+    try:
+        arr = np.array(doc[key], dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise non_finite from exc
+    if not np.isfinite(arr).all():
+        raise non_finite
+    return arr
+
+
+def write_documents(path, docs) -> None:
+    """Write each document as one line of JSON; arrays go in as ``tolist()``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for doc in docs:
+            fh.write(json.dumps(doc, sort_keys=True, allow_nan=False))
+            fh.write("\n")

@@ -13,7 +13,6 @@ from pedbank.attention import (
     FeatureBatch,
     attention_gradients,
     cross_attend,
-    flatten_block,
     init_attention,
     layer_norm,
     load_attention_params,
@@ -100,22 +99,22 @@ class TestInit:
             init_attention(c=0, d=4)
 
 
-class TestFlatten:
+class TestRows:
     def test_row_major_order(self):
         h, w = 2, 3
         block = np.empty((h, w, 2))
         for y in range(h):
             for x in range(w):
                 block[y, x] = (y, x)
-        flat = flatten_block(block)
-        assert flat.shape == (6, 2)
+        rows = FeatureBatch(mode="proposal", blocks=block[None]).rows()
+        assert rows.shape == (1, 6, 2)
         for y in range(h):
             for x in range(w):
-                np.testing.assert_array_equal(flat[y * w + x], [y, x])
+                np.testing.assert_array_equal(rows[0, y * w + x], [y, x])
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(DimensionError):
-            flatten_block(np.zeros((2, 2)))
+            FeatureBatch(mode="proposal", blocks=np.zeros((2, 2)))
 
 
 class TestLayerNorm:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pedbank.bank import BANK_FORMAT_VERSION, KnowledgeBank, assemble_bank, load_bank, save_bank
-from pedbank.errors import ParseError, PreconditionError
+from pedbank.errors import DimensionError, ParseError, PreconditionError
 from pedbank.hints import HintSet
 from pedbank.quantizer import Codebook
 
@@ -22,6 +22,26 @@ class TestAssemble:
         np.testing.assert_array_equal(bank.f_h, hs.hints)
         np.testing.assert_array_equal(bank.f_k, cb.centroids + hs.hints)
         assert bank.meta == {"source": "unit"}
+
+    def test_composition_matches_elementwise_loop(self):
+        rng = np.random.default_rng(13)
+        cb = Codebook(n=6, dim=5, centroids=rng.normal(size=(6, 5)))
+        hs = HintSet(n=6, dim=5, hints=rng.normal(scale=0.01, size=(6, 5)))
+        composed = assemble_bank(cb, hs, meta={}).f_k
+        for i in range(6):
+            for j in range(5):
+                assert composed[i, j] == cb.centroids[i, j] + hs.hints[i, j]
+
+    def test_zero_hints_compose_to_codewords(self):
+        cb = Codebook(n=2, dim=2, centroids=np.eye(2))
+        hs = HintSet(n=2, dim=2, hints=np.zeros((2, 2)))
+        np.testing.assert_array_equal(assemble_bank(cb, hs, meta={}).f_k, cb.centroids)
+
+    def test_shape_mismatch(self):
+        cb = Codebook(n=2, dim=2, centroids=np.eye(2))
+        hs = HintSet(n=3, dim=2, hints=np.zeros((3, 2)))
+        with pytest.raises(DimensionError):
+            assemble_bank(cb, hs, meta={})
 
     def test_constructor_rejects_broken_composition(self):
         rng = np.random.default_rng(1)
@@ -43,6 +63,14 @@ class TestAssemble:
                 n=1, dim=1,
                 f_q=np.ones((1, 1)), f_h=np.zeros((1, 1)), f_k=np.ones((1, 1)),
                 version=2,
+            )
+
+    def test_rejects_bool_version(self):
+        with pytest.raises(PreconditionError, match="version"):
+            KnowledgeBank(
+                n=1, dim=1,
+                f_q=np.ones((1, 1)), f_h=np.zeros((1, 1)), f_k=np.ones((1, 1)),
+                version=True,
             )
 
 

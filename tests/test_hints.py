@@ -15,7 +15,6 @@ from pedbank.hints import (
     TrainConfig,
     backward,
     bce_loss,
-    compose,
     forward_classify,
     init_classifier,
     init_hints,
@@ -59,28 +58,6 @@ class TestInit:
             init_hints(0, 4, seed=0)
         with pytest.raises(PreconditionError):
             init_classifier(4, 0, seed=0)
-
-
-class TestCompose:
-    def test_matches_elementwise_loop(self):
-        rng = np.random.default_rng(13)
-        cb = Codebook(n=6, dim=5, centroids=rng.normal(size=(6, 5)))
-        hs = HintSet(n=6, dim=5, hints=rng.normal(scale=0.01, size=(6, 5)))
-        composed = compose(cb, hs)
-        for i in range(6):
-            for j in range(5):
-                assert composed[i, j] == cb.centroids[i, j] + hs.hints[i, j]
-
-    def test_zero_hints_identity(self):
-        cb = Codebook(n=2, dim=2, centroids=np.eye(2))
-        hs = HintSet(n=2, dim=2, hints=np.zeros((2, 2)))
-        np.testing.assert_array_equal(compose(cb, hs), cb.centroids)
-
-    def test_shape_mismatch(self):
-        cb = Codebook(n=2, dim=2, centroids=np.eye(2))
-        hs = HintSet(n=3, dim=2, hints=np.zeros((3, 2)))
-        with pytest.raises(DimensionError):
-            compose(cb, hs)
 
 
 class TestForward:
