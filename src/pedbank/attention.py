@@ -73,6 +73,14 @@ class FeatureBatch:
         return self.blocks.reshape(self.m, self.h * self.w, self.c)
 
 
+def param_shapes(heads: int, d_model: int, c: int, d: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each parameter array for ``c`` channels and bank dimension ``d``."""
+    return {
+        "w_q": (heads, c, d_model), "w_k": (heads, d, d_model), "w_v": (heads, d, d_model),
+        "w_o": (heads * d_model, c), "gain": (c,), "bias": (c,),
+    }
+
+
 @dataclass(frozen=True)
 class AttentionParams:
     """Per-head projections, the shared output projection, and the
@@ -89,27 +97,22 @@ class AttentionParams:
     eps: float = 1e-5
 
     def __post_init__(self):
-        for name in ("w_q", "w_k", "w_v", "w_o", "gain", "bias"):
+        for name in _PARAM_ARRAYS:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        if self.heads < 1 or self.d_model < 1:
-            raise PreconditionError("heads and d_model must be positive")
+        if any(type(size) is not int or size < 1 for size in (self.heads, self.d_model)):
+            raise PreconditionError("heads and d_model must be positive integers")
         if not self.eps > 0:
             raise PreconditionError("eps must be positive")
-        if self.w_q.ndim != 3 or self.w_q.shape[0] != self.heads or self.w_q.shape[2] != self.d_model:
-            raise DimensionError(f"w_q must have shape (heads, c, d_model), got {self.w_q.shape}")
-        c = self.w_q.shape[1]
-        if self.w_k.ndim != 3 or self.w_k.shape[0] != self.heads or self.w_k.shape[2] != self.d_model:
-            raise DimensionError(f"w_k must have shape (heads, d, d_model), got {self.w_k.shape}")
-        d = self.w_k.shape[1]
-        if self.w_v.shape != (self.heads, d, self.d_model):
-            raise DimensionError(f"w_v must have shape ({self.heads}, {d}, {self.d_model})")
-        if self.w_o.shape != (self.heads * self.d_model, c):
+        if self.w_q.ndim != 3 or self.w_k.ndim != 3:
             raise DimensionError(
-                f"w_o must have shape ({self.heads * self.d_model}, {c}), got {self.w_o.shape}"
+                f"w_q and w_k must be 3-d, got shapes {self.w_q.shape} and {self.w_k.shape}"
             )
-        if self.gain.shape != (c,) or self.bias.shape != (c,):
-            raise DimensionError(f"gain and bias must have shape ({c},)")
-        for name in ("w_q", "w_k", "w_v", "w_o", "gain", "bias"):
+        shapes = param_shapes(self.heads, self.d_model, self.w_q.shape[1], self.w_k.shape[1])
+        for name, shape in shapes.items():
+            got = getattr(self, name).shape
+            if got != shape:
+                raise DimensionError(f"{name} must have shape {shape}, got {got}")
+        for name in _PARAM_ARRAYS:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise PreconditionError(f"{name} must be finite")
 
@@ -330,10 +333,9 @@ def load_attention_params(path) -> AttentionParams:
     doc = jsonio.read_document(path, ("version", "eps") + sizes + _PARAM_ARRAYS)
     jsonio.read_version(doc, path, ATTENTION_PARAMS_VERSION, "params")
     heads, d_model, c, d = (jsonio.read_size(doc, key, path) for key in sizes)
-    shapes = {
-        "w_q": (heads, c, d_model), "w_k": (heads, d, d_model), "w_v": (heads, d, d_model),
-        "w_o": (heads * d_model, c), "gain": (c,), "bias": (c,),
+    arrays = {
+        key: jsonio.read_array(doc, key, path, shape)
+        for key, shape in param_shapes(heads, d_model, c, d).items()
     }
-    arrays = {key: jsonio.read_array(doc, key, path, shape) for key, shape in shapes.items()}
     eps = float(jsonio.read_array(doc, "eps", path, ()))
     return AttentionParams(heads=heads, d_model=d_model, eps=eps, **arrays)

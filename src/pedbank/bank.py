@@ -46,8 +46,8 @@ class KnowledgeBank:
                 f"unsupported bank format version {self.version!r} "
                 f"(supported: {BANK_FORMAT_VERSION})"
             )
-        if self.n < 1 or self.dim < 1:
-            raise PreconditionError("n and dim must be positive")
+        if any(type(size) is not int or size < 1 for size in (self.n, self.dim)):
+            raise PreconditionError("n and dim must be positive integers")
         for name in ("f_q", "f_h", "f_k"):
             arr = getattr(self, name)
             if arr.shape != (self.n, self.dim):

@@ -151,24 +151,11 @@ def cmd_complement(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    negate = "w_q" if args.inject_sign_error else None
     clf_errors = gradcheck.classifier_check(
-        seed=args.seed,
-        dim=args.clf_dim,
-        n=args.clf_n,
-        hidden=args.clf_hidden,
-        negate="w1" if args.inject_sign_error else None,
+        seed=args.seed, negate="w1" if args.inject_sign_error else None
     )
     attn_errors = gradcheck.attention_check(
-        seed=args.seed,
-        h=args.attn_h,
-        w=args.attn_w,
-        c=args.attn_c,
-        n=args.attn_n,
-        d=args.attn_d,
-        d_m=args.attn_d_model,
-        heads=args.attn_heads,
-        negate=negate,
+        seed=args.seed, negate="w_q" if args.inject_sign_error else None
     )
     worst = 0.0
     for group, err in clf_errors.items():
@@ -264,16 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=gradcheck.DEFAULT_TOLERANCE)
-    p.add_argument("--clf-dim", type=int, default=8)
-    p.add_argument("--clf-n", type=int, default=4)
-    p.add_argument("--clf-hidden", type=int, default=6)
-    p.add_argument("--attn-h", type=int, default=2)
-    p.add_argument("--attn-w", type=int, default=2)
-    p.add_argument("--attn-c", type=int, default=8)
-    p.add_argument("--attn-n", type=int, default=4)
-    p.add_argument("--attn-d", type=int, default=8)
-    p.add_argument("--attn-d-model", type=int, default=4)
-    p.add_argument("--attn-heads", type=int, default=2)
     p.add_argument("--inject-sign-error", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
     return parser

@@ -23,7 +23,7 @@ from .attention import (
 from .bank import KnowledgeBank
 from .errors import PreconditionError
 from .hints import ClassifierParams, HintSet, backward, bce_loss, forward_classify
-from .quantizer import Codebook
+from .quantizer import Codebook, quantize
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-6
@@ -91,8 +91,8 @@ def classifier_check(
     )
     worst = {name: 0.0 for name in CLASSIFIER_GROUPS}
     for label in (1, 0):
-        p = rng.normal(size=dim)
-        _, cache = forward_classify(p, codebook, hints, clf)
+        index = quantize(rng.normal(size=dim), codebook)
+        _, cache = forward_classify(index, codebook, hints, clf)
         grads = backward(cache, label)
         hint_grad = np.zeros((n, dim))
         hint_grad[grads.index] = grads.hint
@@ -104,24 +104,20 @@ def classifier_check(
             "hints": hint_grad,
         }
 
-        def loss_with(w1=None, b1=None, w2=None, b2=None, hmat=None):
-            clf2 = ClassifierParams(
-                w1=clf.w1 if w1 is None else w1,
-                b1=clf.b1 if b1 is None else b1,
-                w2=clf.w2 if w2 is None else w2,
-                b2=clf.b2 if b2 is None else float(b2),
-            )
-            hints2 = hints if hmat is None else HintSet(n=n, dim=dim, hints=hmat)
-            logit, _ = forward_classify(p, codebook, hints2, clf2)
+        def loss(clf2=clf, hints2=hints):
+            logit, _ = forward_classify(index, codebook, hints2, clf2)
             return bce_loss(logit, label)
 
         numeric = {
-            "w1": central_difference(lambda x: loss_with(w1=x), clf.w1.copy(), step),
-            "b1": central_difference(lambda x: loss_with(b1=x), clf.b1.copy(), step),
-            "w2": central_difference(lambda x: loss_with(w2=x), clf.w2.copy(), step),
-            "b2": central_difference(lambda x: loss_with(b2=x[()]), np.asarray(clf.b2), step),
-            "hints": central_difference(lambda x: loss_with(hmat=x), hints.hints.copy(), step),
+            name: central_difference(
+                lambda x, _name=name: loss(clf2=dataclasses.replace(clf, **{_name: x})),
+                np.array(getattr(clf, name)), step,
+            )
+            for name in ("w1", "b1", "w2", "b2")
         }
+        numeric["hints"] = central_difference(
+            lambda x: loss(hints2=dataclasses.replace(hints, hints=x)), hints.hints.copy(), step
+        )
         for name in CLASSIFIER_GROUPS:
             a = -analytic[name] if negate == name else analytic[name]
             worst[name] = max(worst[name], relative_error(a, numeric[name]))
@@ -162,7 +158,5 @@ def attention_check(
 
         numeric = central_difference(fn, getattr(params, name).copy(), step)
         analytic = getattr(grads, name)
-        if negate == name:
-            analytic = -analytic
-        results[name] = relative_error(analytic, numeric)
+        results[name] = relative_error(-analytic if negate == name else analytic, numeric)
     return results

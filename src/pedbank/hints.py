@@ -18,7 +18,7 @@ import numpy as np
 
 from .embeddings import EmbeddingDataset
 from .errors import DimensionError, NumericalError, PreconditionError
-from .quantizer import Codebook, quantize
+from .quantizer import Codebook, route
 
 
 @dataclass(frozen=True)
@@ -145,11 +145,12 @@ def init_classifier(dim: int, hidden: int, seed: int) -> ClassifierParams:
     return ClassifierParams(w1=w1, b1=np.zeros(hidden), w2=w2, b2=0.0)
 
 
-def forward_classify(p, codebook: Codebook, hints: HintSet, classifier: ClassifierParams):
-    """Route ``p`` to its nearest codeword and score the composed feature.
+def forward_classify(index, codebook: Codebook, hints: HintSet, classifier: ClassifierParams):
+    """Score the composed feature of codeword ``index``.
 
-    Returns ``(logit, cache)``; the probe influences the logit only through
-    the routing index, so codeword selection is unchanged by hint training.
+    Returns ``(logit, cache)``. A probe reaches the classifier only through
+    its routing index (``quantize`` or ``route``), so callers route first and
+    hint training cannot change which codeword a probe selects.
     """
     if (codebook.n, codebook.dim) != (hints.n, hints.dim):
         raise DimensionError("codebook and hints disagree on (n, dim)")
@@ -157,7 +158,10 @@ def forward_classify(p, codebook: Codebook, hints: HintSet, classifier: Classifi
         raise DimensionError(
             f"classifier input dimension {classifier.dim} != codebook dimension {codebook.dim}"
         )
-    index = quantize(p, codebook)
+    n = codebook.n
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or not 0 <= index < n:
+        raise PreconditionError(f"codeword index must be an integer in [0, {n}), got {index!r}")
+    index = int(index)
     x = codebook.centroids[index] + hints.hints[index]
     pre = classifier.w1 @ x + classifier.b1
     hid = np.maximum(pre, 0.0)
@@ -220,11 +224,12 @@ def train_hints(
 
     Hints start from ``init_hints(n, dim, config.seed)``, the classifier
     from ``init_classifier(dim, config.hidden, config.seed + 1)``, and
-    sample draws use seed ``config.seed + 2``. Each step forwards one
-    uniformly drawn embedding of each label through the current parameters,
-    sums the two gradients, and applies one update to the classifier and,
-    when ``config.train_hints`` is set, to the selected hint rows. With it
-    unset the returned hints equal their initialization exactly.
+    sample draws use seed ``config.seed + 2``. The frozen codebook routes
+    every embedding once, up front. Each step forwards the route of one
+    uniformly drawn embedding of each label, sums the two gradients, and
+    applies one update to the classifier and, when ``config.train_hints`` is
+    set, to the selected hint rows. With it unset the returned hints equal
+    their initialization exactly.
     """
     if len(pedestrians) == 0 or len(backgrounds) == 0:
         raise PreconditionError("hint training requires records of both labels")
@@ -234,23 +239,21 @@ def train_hints(
                 f"{name} dataset dimension {ds.dim} != codebook dimension {codebook.dim}"
             )
     hints = init_hints(codebook.n, codebook.dim, config.seed)
-    hints = HintSet(n=hints.n, dim=hints.dim, hints=hints.hints.copy())
     clf = init_classifier(codebook.dim, config.hidden, config.seed + 1)
     rng = np.random.default_rng(config.seed + 2)
-    ped_mat = pedestrians.matrix()
-    bg_mat = backgrounds.matrix()
+    ped_routes = route(pedestrians.matrix(), codebook).tolist()
+    bg_routes = route(backgrounds.matrix(), codebook).tolist()
 
     history: list[StepRecord] = []
     lr = config.lr
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.steps):
-            i_ped = int(rng.integers(len(pedestrians)))
-            i_bg = int(rng.integers(len(backgrounds)))
-            samples = ((ped_mat[i_ped], 1), (bg_mat[i_bg], 0))
+            ped = ped_routes[int(rng.integers(len(ped_routes)))]
+            bg = bg_routes[int(rng.integers(len(bg_routes)))]
             losses: list[float] = []
             grads: list[ClassifierGrads] = []
-            for vec, label in samples:
-                logit, cache = forward_classify(vec, codebook, hints, clf)
+            for index, label in ((ped, 1), (bg, 0)):
+                logit, cache = forward_classify(index, codebook, hints, clf)
                 if not math.isfinite(logit):
                     raise NumericalError(
                         f"non-finite logit at step {step} "

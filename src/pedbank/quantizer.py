@@ -156,30 +156,34 @@ def kmeans(points: EmbeddingDataset, config: KMeansConfig) -> Codebook:
     return codebook
 
 
-def quantize(p, codebook: Codebook) -> int:
-    """Index of the codeword with the largest inner product against ``p``.
+def route(points: np.ndarray, codebook: Codebook) -> np.ndarray:
+    """Codeword index with the largest inner product for every row of ``points``.
 
-    Ties break toward the lowest index.
+    The one routing rule, one matrix product per batch; ties go to the lowest index.
     """
+    return (points @ codebook.centroids.T).argmax(axis=1)
+
+
+def quantize(p, codebook: Codebook) -> int:
+    """``route`` for a single probe ``p``, after checking its shape and values."""
     vec = np.asarray(p, dtype=np.float64)
     if vec.ndim != 1 or vec.shape[0] != codebook.dim:
         raise DimensionError(f"probe has shape {vec.shape}, expected ({codebook.dim},)")
     if not np.all(np.isfinite(vec)):
         raise PreconditionError("probe must be finite")
-    return int(np.argmax(codebook.centroids @ vec))
+    return int(route(vec[None, :], codebook)[0])
 
 
 def assignment_report(dataset: EmbeddingDataset, codebook: Codebook) -> AssignmentReport:
     """Group every record id under its nearest codeword by inner product."""
-    counts = np.zeros(codebook.n, dtype=np.int64)
     groups: dict[int, list[str]] = {i: [] for i in range(codebook.n)}
     if len(dataset) > 0:
         if dataset.dim != codebook.dim:
             raise DimensionError(
                 f"dataset dimension {dataset.dim} does not match codebook dimension {codebook.dim}"
             )
-        nearest = (dataset.matrix() @ codebook.centroids.T).argmax(axis=1)
-        for rec, idx in zip(dataset, nearest):
-            counts[idx] += 1
-            groups[int(idx)].append(rec.id)
-    return AssignmentReport(counts=counts, groups={i: tuple(g) for i, g in groups.items()})
+        for rec, idx in zip(dataset, route(dataset.matrix(), codebook).tolist()):
+            groups[idx].append(rec.id)
+    return AssignmentReport(
+        counts=[len(g) for g in groups.values()], groups={i: tuple(g) for i, g in groups.items()}
+    )

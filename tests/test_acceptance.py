@@ -95,7 +95,7 @@ def test_hint_training_learns_separable_data(tmp_path):
     )
     correct = 0
     for rec in held:
-        logit, _ = forward_classify(rec.vector, codebook, hint_set, clf)
+        logit, _ = forward_classify(quantize(rec.vector, codebook), codebook, hint_set, clf)
         correct += int((logit > 0) == (rec.label == "pedestrian"))
     accuracy = correct / len(held)
 

@@ -375,3 +375,12 @@ class TestParamsFiles:
                 w_o=np.zeros((7, 6)),  # should be (2*4, 6)
                 gain=np.ones(6), bias=np.zeros(6),
             )
+
+    @pytest.mark.parametrize("size", [2.0, True])
+    def test_rejects_sizes_the_loader_rejects(self, size):
+        # the loader's size rule: params that construct must also load after saving
+        params = init_attention(c=4, d=6, d_m=2, heads=2, seed=1)
+        with pytest.raises(PreconditionError, match="positive integers"):
+            replace(params, heads=size)
+        with pytest.raises(PreconditionError, match="positive integers"):
+            replace(params, d_model=size)

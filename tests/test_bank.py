@@ -73,6 +73,18 @@ class TestAssemble:
                 version=True,
             )
 
+    @pytest.mark.parametrize("size", [True, 1.0, 0])
+    def test_rejects_sizes_the_loader_rejects(self, size):
+        # the loader's size rule: a bank that constructs must also load after saving
+        with pytest.raises(PreconditionError, match="positive integers"):
+            KnowledgeBank(
+                n=size, dim=1, f_q=np.ones((1, 1)), f_h=np.zeros((1, 1)), f_k=np.ones((1, 1))
+            )
+        with pytest.raises(PreconditionError, match="positive integers"):
+            KnowledgeBank(
+                n=1, dim=size, f_q=np.ones((1, 1)), f_h=np.zeros((1, 1)), f_k=np.ones((1, 1))
+            )
+
 
 class TestRoundTrip:
     def test_values_survive_exactly(self, tmp_path):

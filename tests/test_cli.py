@@ -23,7 +23,7 @@ from pedbank.embeddings import (
     write_embedding_file,
 )
 from pedbank.hints import TrainConfig, forward_classify, init_hints, train_hints
-from pedbank.quantizer import Codebook, KMeansConfig, assignment_report, kmeans
+from pedbank.quantizer import Codebook, KMeansConfig, assignment_report, kmeans, quantize
 
 from support import random_bank
 
@@ -300,7 +300,7 @@ class TestIndistinguishableControl:
         )
         correct = 0
         for rec in held:
-            logit, _ = forward_classify(rec.vector, codebook, hint_set, clf)
+            logit, _ = forward_classify(quantize(rec.vector, codebook), codebook, hint_set, clf)
             predicted = 1 if logit > 0 else 0
             correct += int(predicted == (1 if rec.label == "pedestrian" else 0))
         accuracy = correct / len(held)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pedbank.embeddings import generate_synthetic, split_by_label
+from pedbank.embeddings import (
+    EmbeddingDataset,
+    EmbeddingRecord,
+    generate_synthetic,
+    l2_normalize,
+    split_by_label,
+)
 from pedbank.errors import DimensionError, NumericalError, PreconditionError
 from pedbank.gradcheck import classifier_check
 from pedbank.hints import (
@@ -21,7 +28,7 @@ from pedbank.hints import (
     train_hints,
     write_history,
 )
-from pedbank.quantizer import Codebook, KMeansConfig, kmeans
+from pedbank.quantizer import Codebook, KMeansConfig, kmeans, quantize
 
 from support import make_dataset
 
@@ -64,13 +71,13 @@ class TestForward:
     def test_identity_network(self):
         cb = Codebook(n=1, dim=1, centroids=np.array([[2.0]]))
         hs = HintSet(n=1, dim=1, hints=np.array([[0.0]]))
-        logit, cache = forward_classify([1.0], cb, hs, scalar_net())
+        logit, cache = forward_classify(quantize([1.0], cb), cb, hs, scalar_net())
         assert logit == 2.0 and cache.index == 0
 
     def test_zero_w2_gives_bias_logit(self):
         cb = Codebook(n=1, dim=1, centroids=np.array([[2.0]]))
         hs = HintSet(n=1, dim=1, hints=np.array([[0.3]]))
-        logit, _ = forward_classify([1.0], cb, hs, scalar_net(w2=0.0, b2=-1.5))
+        logit, _ = forward_classify(quantize([1.0], cb), cb, hs, scalar_net(w2=0.0, b2=-1.5))
         assert logit == -1.5
 
     def test_matches_manual_recomputation(self):
@@ -80,7 +87,7 @@ class TestForward:
         hs = HintSet(n=n, dim=dim, hints=rng.normal(scale=0.1, size=(n, dim)))
         clf = init_classifier(dim, hidden, seed=17)
         p = rng.normal(size=dim)
-        logit, cache = forward_classify(p, cb, hs, clf)
+        logit, cache = forward_classify(quantize(p, cb), cb, hs, clf)
         scores = [float(np.dot(cb.centroids[i], p)) for i in range(n)]
         index = int(np.argmax(scores))
         x = cb.centroids[index] + hs.hints[index]
@@ -96,8 +103,16 @@ class TestForward:
         p = [0.9, 0.2]
         for scale in (0.0, 5.0):
             hs = HintSet(n=2, dim=2, hints=np.full((2, 2), scale))
-            _, cache = forward_classify(p, cb, hs, clf)
+            _, cache = forward_classify(quantize(p, cb), cb, hs, clf)
             assert cache.index == 0
+
+    @pytest.mark.parametrize("index", [-1, 2, True, 1.0])
+    def test_rejects_index_outside_the_codebook(self, index):
+        # a negative index must not wrap around to the last codeword
+        cb = Codebook(n=2, dim=2, centroids=np.array([[1.0, 0.0], [0.0, 1.0]]))
+        hs = HintSet(n=2, dim=2, hints=np.zeros((2, 2)))
+        with pytest.raises(PreconditionError, match="index"):
+            forward_classify(index, cb, hs, init_classifier(2, 4, seed=0))
 
 
 class TestBceLoss:
@@ -133,14 +148,14 @@ class TestBackward:
         cb = Codebook(n=1, dim=1, centroids=np.array([[1.0]]))
         hs = HintSet(n=1, dim=1, hints=np.array([[0.0]]))
         clf = scalar_net(w2=0.0)
-        _, cache = forward_classify([1.0], cb, hs, clf)
+        _, cache = forward_classify(quantize([1.0], cb), cb, hs, clf)
         assert backward(cache, 1).b2 == -0.5
         assert backward(cache, 0).b2 == 0.5
 
     def test_zero_w2_blocks_upstream_grads(self):
         cb = Codebook(n=1, dim=1, centroids=np.array([[1.0]]))
         hs = HintSet(n=1, dim=1, hints=np.array([[0.0]]))
-        _, cache = forward_classify([1.0], cb, hs, scalar_net(w2=0.0))
+        _, cache = forward_classify(quantize([1.0], cb), cb, hs, scalar_net(w2=0.0))
         grads = backward(cache, 1)
         np.testing.assert_array_equal(grads.w1, np.zeros((1, 1)))
         np.testing.assert_array_equal(grads.hint, np.zeros(1))
@@ -151,7 +166,7 @@ class TestBackward:
         clf = ClassifierParams(
             w1=np.ones((3, 2)), b1=np.full(3, -1e3), w2=np.ones((1, 3)), b2=0.0
         )
-        _, cache = forward_classify([1.0, 0.0], cb, hs, clf)
+        _, cache = forward_classify(quantize([1.0, 0.0], cb), cb, hs, clf)
         grads = backward(cache, 1)
         np.testing.assert_array_equal(grads.w1, np.zeros((3, 2)))
         np.testing.assert_array_equal(grads.w2, np.zeros((1, 3)))
@@ -187,7 +202,7 @@ class TestTrain:
         )
         correct = 0
         for rec in held:
-            logit, _ = forward_classify(rec.vector, codebook, hint_set, clf)
+            logit, _ = forward_classify(quantize(rec.vector, codebook), codebook, hint_set, clf)
             predicted = 1 if logit > 0 else 0
             correct += int(predicted == (1 if rec.label == "pedestrian" else 0))
         assert correct / len(held) >= 0.95
@@ -256,6 +271,55 @@ class TestTrain:
             TrainConfig(lr=0.0, steps=1)
         with pytest.raises(PreconditionError):
             TrainConfig(lr=0.1, steps=0)
+
+
+# sha256 of the history file, the hint matrix and the classifier arrays
+# (little-endian float64) of two seeded runs; training must stay bit-identical.
+GOLDEN_TRAINING = {
+    "separable": {
+        "history": "1ad039b36b2d2af60eea32e706390483830d92fd6e1c90aa7fad6e9feda6a933",
+        "hints": "46403e712fa97777b40d6f173cc4ab38a6ad15a4dd0100cdcc859fbd9171e00e",
+        "classifier": "7b0414c7a1f3767bd877e3e707c4490fe5ef69ccf512fb6808f2581885e080eb",
+    },
+    "normalized": {
+        "history": "f5bd54e5c664c21dec8b9be9a42db450a0d541aff55cc27ae61bd1a946de57db",
+        "hints": "bc7be6a05908a7998e7aa8374d9b935f710be6b49e8b7d8c2ab89fc2f2eda7c6",
+        "classifier": "cc9b0c82a91de23065b01fea601c9c60687d9f30c0c386d760a3ed0bd8b2e96c",
+    },
+}
+
+
+def training_digests(peds, bgs, codebook, config, path):
+    hint_set, clf, history = train_hints(peds, bgs, codebook, config)
+    write_history(history, path)
+
+    def sha(*arrays):
+        data = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
+        return hashlib.sha256(data).hexdigest()
+
+    return {
+        "history": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "hints": sha(hint_set.hints),
+        "classifier": sha(clf.w1, clf.b1, clf.w2, clf.b2),
+    }
+
+
+def test_training_matches_golden_digests(separable, tmp_path):
+    peds, bgs, codebook = separable
+    config = TrainConfig(lr=0.1, steps=500, seed=2)
+    assert training_digests(peds, bgs, codebook, config, tmp_path / "a.jsonl") == (
+        GOLDEN_TRAINING["separable"]
+    )
+    raw = generate_synthetic(seed=5, pedestrians=300, backgrounds=200, dim=64, separation=8.0)
+    normalized = EmbeddingDataset(dim=64, records=tuple(
+        EmbeddingRecord(rec.id, rec.label, l2_normalize(rec.vector)) for rec in raw
+    ))
+    peds, bgs = split_by_label(normalized)
+    codebook = kmeans(peds, KMeansConfig(n=8, seed=5))
+    config = TrainConfig(lr=0.1, steps=500, seed=5, hidden=32)
+    assert training_digests(peds, bgs, codebook, config, tmp_path / "b.jsonl") == (
+        GOLDEN_TRAINING["normalized"]
+    )
 
 
 def test_write_history_json_lines(tmp_path):
