@@ -171,7 +171,8 @@ def init_attention(
 def layer_norm(rows, gain, bias, eps: float = 1e-5) -> np.ndarray:
     """Standardize each row over the channel axis, then apply the affine map.
 
-    Uses the biased variance; ``eps`` keeps constant rows finite.
+    Uses the biased variance; ``eps`` keeps constant rows finite, and with
+    ``eps == 0`` a constant row raises ``NumericalError``.
     """
     x = np.asarray(rows, dtype=np.float64)
     gain = np.asarray(gain, dtype=np.float64)
@@ -184,13 +185,13 @@ def layer_norm(rows, gain, bias, eps: float = 1e-5) -> np.ndarray:
         raise DimensionError("gain and bias must match the channel count")
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    return gain * (x - mean) / np.sqrt(var + eps) + bias
-
-
-def _row_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    if eps == 0 and np.any(var == 0):
+        raise NumericalError("layer norm: a row has zero variance and eps is 0")
+    out = x - mean
+    out *= gain
+    out /= np.sqrt(var + eps)
+    out += bias
+    return out
 
 
 def _check_compatible(batch: FeatureBatch, bank: KnowledgeBank, params: AttentionParams):
@@ -206,24 +207,25 @@ def _check_compatible(batch: FeatureBatch, bank: KnowledgeBank, params: Attentio
 
 def _forward_parts(batch: FeatureBatch, bank: KnowledgeBank, params: AttentionParams) -> dict:
     _check_compatible(batch, bank, params)
-    flat = batch.rows()  # (m, hw, c)
+    x = batch.blocks.reshape(-1, batch.c)  # (M, c): every row of every block
     scale = 1.0 / math.sqrt(params.d_model)
-    k = np.einsum("ne,hed->hnd", bank.f_k, params.w_k)  # (heads, n, d_m)
-    v = np.einsum("ne,hed->hnd", bank.f_k, params.w_v)
-    q = np.einsum("mrc,hcd->mhrd", flat, params.w_q)  # (m, heads, hw, d_m)
-    scores = np.einsum("mhrd,hnd->mhrn", q, k) * scale
-    if not np.all(np.isfinite(scores)):
+    k = bank.f_k @ params.w_k  # (heads, n, d_m)
+    v = bank.f_k @ params.w_v
+    w_q = params.w_q.transpose(1, 0, 2).reshape(batch.c, -1)  # heads side by side
+    q = (x @ w_q).reshape(len(x), params.heads, -1).transpose(1, 0, 2)  # (heads, M, d_m)
+    assoc = q @ k.transpose(0, 2, 1)  # scores (heads, M, n), made the association in place
+    assoc *= scale
+    if not np.all(np.isfinite(assoc)):
         raise NumericalError("non-finite attention scores")
-    assoc = _row_softmax(scores)
-    heads_out = np.einsum("mhrn,hnd->mhrd", assoc, v)
-    m, hw = flat.shape[0], flat.shape[1]
-    concat = heads_out.transpose(0, 2, 1, 3).reshape(m, hw, params.heads * params.d_model)
-    f_o = concat @ params.w_o  # (m, hw, c)
-    pre = flat + f_o
+    assoc -= assoc.max(axis=-1, keepdims=True)  # row softmax over the bank entries
+    np.exp(assoc, out=assoc)
+    assoc /= assoc.sum(axis=-1, keepdims=True)
+    concat = (assoc @ v).transpose(1, 0, 2).reshape(len(x), -1)  # (M, heads*d_m)
+    pre = x + concat @ params.w_o
     if not np.all(np.isfinite(pre)):
         raise NumericalError("non-finite pre-normalization features")
     return {
-        "flat": flat, "scale": scale, "k": k, "v": v, "q": q,
+        "x": x, "scale": scale, "k": k, "v": v, "q": q,
         "assoc": assoc, "concat": concat, "pre": pre,
     }
 
@@ -239,9 +241,11 @@ def cross_attend(
     matrices, the pre-norm sums, and the output rows.
     """
     parts = _forward_parts(batch, bank, params)
-    out_rows = layer_norm(parts["pre"], params.gain, params.bias, params.eps)
+    pre = parts["pre"].reshape(batch.m, -1, batch.c)
+    out_rows = layer_norm(pre, params.gain, params.bias, params.eps)
     out = FeatureBatch(mode=batch.mode, blocks=out_rows.reshape(batch.blocks.shape))
-    trace = AttentionTrace(assoc=parts["assoc"], pre_norm=parts["pre"], output=out_rows)
+    assoc = parts["assoc"].reshape(params.heads, batch.m, -1, bank.n).transpose(1, 0, 2, 3)
+    trace = AttentionTrace(assoc=assoc, pre_norm=pre, output=out_rows)
     return out, trace
 
 
@@ -250,45 +254,44 @@ def attention_gradients(
 ) -> AttentionGrads:
     """Gradients of ``sum(upstream * cross_attend(...).blocks)``.
 
-    ``upstream`` must match the block array shape. Gradients cover every
-    projection matrix and the layer-norm affine; they are exact and are
-    checked against central finite differences in the test suite.
+    ``upstream`` must match the block array shape and be finite. Gradients
+    cover every projection matrix and the layer-norm affine; they are exact
+    and are checked against central finite differences in the test suite.
     """
     up = np.asarray(upstream, dtype=np.float64)
     if up.shape != batch.blocks.shape:
         raise DimensionError(
             f"upstream shape {up.shape} must match blocks shape {batch.blocks.shape}"
         )
+    if not np.all(np.isfinite(up)):
+        raise PreconditionError("upstream must be finite")
     parts = _forward_parts(batch, bank, params)
-    flat, pre, assoc = parts["flat"], parts["pre"], parts["assoc"]
-    m, hw, c = flat.shape
+    x, pre, assoc = parts["x"], parts["pre"], parts["assoc"]
 
-    du = up.reshape(m, hw, c)
-    mean = pre.mean(axis=-1, keepdims=True)
-    var = pre.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + params.eps)
-    xhat = (pre - mean) * inv
-    d_bias = du.sum(axis=(0, 1))
-    d_gain = (du * xhat).sum(axis=(0, 1))
+    du = up.reshape(pre.shape)
+    inv = 1.0 / np.sqrt(pre.var(axis=-1, keepdims=True) + params.eps)
+    xhat = pre - pre.mean(axis=-1, keepdims=True)
+    xhat *= inv
+    d_bias = du.sum(axis=0)
+    d_gain = (du * xhat).sum(axis=0)
     dxhat = du * params.gain
-    ds = inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    ds = dxhat - dxhat.mean(axis=-1, keepdims=True)
+    ds -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    ds *= inv
     # residual: ds is the cotangent of f_o (the input branch needs no gradient)
-    d_wo = parts["concat"].reshape(m * hw, -1).T @ ds.reshape(m * hw, c)
-    d_concat = ds @ params.w_o.T
-    d_heads = d_concat.reshape(m, hw, params.heads, params.d_model).transpose(0, 2, 1, 3)
-    d_assoc = np.einsum("mhrd,hnd->mhrn", d_heads, parts["v"])
-    d_v = np.einsum("mhrn,mhrd->hnd", assoc, d_heads)
-    d_scores = assoc * (d_assoc - (d_assoc * assoc).sum(axis=-1, keepdims=True))
-    d_raw = d_scores * parts["scale"]
-    d_q = np.einsum("mhrn,hnd->mhrd", d_raw, parts["k"])
-    d_k = np.einsum("mhrn,mhrd->hnd", d_raw, parts["q"])
-    d_wq = np.einsum("mrc,mhrd->hcd", flat, d_q)
-    d_wk = np.einsum("ne,hnd->hed", bank.f_k, d_k)
-    d_wv = np.einsum("ne,hnd->hed", bank.f_k, d_v)
+    d_wo = parts["concat"].T @ ds
+    d_heads = (ds @ params.w_o.T).reshape(len(x), params.heads, -1).transpose(1, 0, 2)
+    d_v = assoc.transpose(0, 2, 1) @ d_heads
+    # softmax and scale backward, in place on d_assoc to spare two (heads, M, n) arrays
+    d_assoc = d_heads @ parts["v"].transpose(0, 2, 1)
+    d_assoc -= (d_assoc * assoc).sum(axis=-1, keepdims=True)
+    d_assoc *= assoc
+    d_assoc *= parts["scale"]
+    d_q = d_assoc @ parts["k"]
+    d_k = d_assoc.transpose(0, 2, 1) @ parts["q"]
+    d_wq = x.T @ d_q
+    d_wk = bank.f_k.T @ d_k
+    d_wv = bank.f_k.T @ d_v
     return AttentionGrads(w_q=d_wq, w_k=d_wk, w_v=d_wv, w_o=d_wo, gain=d_gain, bias=d_bias)
 
 

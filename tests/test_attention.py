@@ -21,10 +21,10 @@ from pedbank.attention import (
     save_feature_batch,
 )
 from pedbank.bank import KnowledgeBank
-from pedbank.errors import DimensionError, ParseError, PreconditionError
+from pedbank.errors import DimensionError, NumericalError, ParseError, PreconditionError
 from pedbank.gradcheck import attention_check
 
-from support import random_bank
+from support import einsum_attention, random_bank
 
 
 def small_setup(seed=3, m=3, h=2, w=2, c=8, n=4, d=8, d_m=4, heads=2):
@@ -148,6 +148,11 @@ class TestLayerNorm:
         assert abs(float(out.mean())) < 1e-9
         assert abs(float(out.var()) - 1.0) < 1e-5
 
+    @pytest.mark.parametrize("rows", [[[1.0, 1.0, 1.0]], [[1.0, 2.0, 4.0], [3.0, 3.0, 3.0]]])
+    def test_zero_variance_without_eps_raises(self, rows):
+        with pytest.raises(NumericalError, match="layer norm.*zero variance"):
+            layer_norm(np.array(rows), np.ones(3), np.zeros(3), eps=0.0)
+
     def test_rejects_single_channel(self):
         with pytest.raises(PreconditionError):
             layer_norm(np.ones((2, 1)), np.ones(1), np.zeros(1))
@@ -266,6 +271,50 @@ class TestGradients:
         batch, bank, params = small_setup()
         with pytest.raises(DimensionError):
             attention_gradients(batch, bank, params, np.zeros((1, 2, 2, 8)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_upstream(self, value):
+        batch, bank, params = small_setup()
+        upstream = np.zeros(batch.blocks.shape)
+        upstream[1, 0, 1, 2] = value
+        with pytest.raises(PreconditionError, match="upstream must be finite"):
+            attention_gradients(batch, bank, params, upstream)
+
+
+def relative_error(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestEinsumReference:
+    """Rows of different blocks, positions and heads must not be mixed up: the
+    finite-difference check runs at m=1 and would not see it."""
+
+    SHAPES = [
+        dict(m=3, h=2, w=3, c=10, n=5, d=7, d_m=4, heads=3),
+        dict(m=2, h=1, w=4, c=6, n=3, d=9, d_m=5, heads=4),
+    ]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_forward_matches(self, shape):
+        batch, bank, params = small_setup(seed=40, **shape)
+        upstream = np.zeros(batch.blocks.shape)
+        blocks, assoc, _ = einsum_attention(batch, bank, params, upstream)
+        out, trace = cross_attend(batch, bank, params)
+        hw = shape["h"] * shape["w"]
+        assert trace.assoc.shape == (shape["m"], shape["heads"], hw, shape["n"])
+        assert relative_error(out.blocks, blocks) <= 1e-10
+        assert relative_error(trace.assoc, assoc) <= 1e-10
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gradients_match(self, shape):
+        batch, bank, params = small_setup(seed=41, **shape)
+        upstream = np.random.default_rng(42).normal(size=batch.blocks.shape)
+        _, _, want = einsum_attention(batch, bank, params, upstream)
+        grads = attention_gradients(batch, bank, params, upstream)
+        for name, expect in want.items():
+            got = getattr(grads, name)
+            assert got.shape == expect.shape, name
+            assert relative_error(got, expect) <= 1e-10, name
 
 
 class TestFeatureBatchFiles:
