@@ -23,7 +23,6 @@ from .embeddings import (
     BACKGROUND,
     PEDESTRIAN,
     EmbeddingDataset,
-    EmbeddingRecord,
     generate_synthetic,
     l2_normalize,
     parse_embedding_file,

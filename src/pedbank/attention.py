@@ -17,7 +17,7 @@ import numpy as np
 
 from . import jsonio
 from .bank import KnowledgeBank
-from .errors import DimensionError, NumericalError, ParseError, PreconditionError
+from .errors import DimensionError, NumericalError, ParseError, PreconditionError, check_sizes
 
 PROPOSAL = "proposal"
 QUERY = "query"
@@ -99,8 +99,7 @@ class AttentionParams:
     def __post_init__(self):
         for name in _PARAM_ARRAYS:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        if any(type(size) is not int or size < 1 for size in (self.heads, self.d_model)):
-            raise PreconditionError("heads and d_model must be positive integers")
+        check_sizes(heads=self.heads, d_model=self.d_model)
         if not self.eps > 0:
             raise PreconditionError("eps must be positive")
         if self.w_q.ndim != 3 or self.w_k.ndim != 3:
@@ -155,8 +154,7 @@ def init_attention(
     c: int, d: int, d_m: int = 64, heads: int = 8, seed: int = 0, eps: float = 1e-5
 ) -> AttentionParams:
     """Seeded 1/sqrt(fan-in) projections with an identity layer-norm affine."""
-    if min(c, d, d_m, heads) < 1:
-        raise PreconditionError("c, d, d_m, and heads must be positive")
+    check_sizes(c=c, d=d, d_m=d_m, heads=heads)
     rng = np.random.default_rng(seed)
     w_q = rng.normal(0.0, 1.0 / np.sqrt(c), size=(heads, c, d_m))
     w_k = rng.normal(0.0, 1.0 / np.sqrt(d), size=(heads, d, d_m))

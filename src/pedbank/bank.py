@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .errors import DimensionError, ParseError, PreconditionError
+from .errors import DimensionError, ParseError, PreconditionError, check_sizes
 from .hints import HintSet
 from .quantizer import Codebook
 
@@ -46,8 +46,7 @@ class KnowledgeBank:
                 f"unsupported bank format version {self.version!r} "
                 f"(supported: {BANK_FORMAT_VERSION})"
             )
-        if any(type(size) is not int or size < 1 for size in (self.n, self.dim)):
-            raise PreconditionError("n and dim must be positive integers")
+        check_sizes(n=self.n, dim=self.dim)
         for name in ("f_q", "f_h", "f_k"):
             arr = getattr(self, name)
             if arr.shape != (self.n, self.dim):

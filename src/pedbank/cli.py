@@ -69,6 +69,8 @@ def cmd_build_bank(args) -> int:
             n=args.n, max_iters=args.max_iters, tol=args.tol, seed=args.seed
         ),
     )
+    counts = quantizer.assignment_report(dataset, codebook).counts
+    del dataset  # the splits hold a copy of every row; keep one copy through training
     hint_set, _, history = hints.train_hints(
         pedestrians,
         backgrounds,
@@ -96,10 +98,9 @@ def cmd_build_bank(args) -> int:
     bank.save_bank(built, args.out)
     if args.history is not None:
         hints.write_history(history, args.history)
-    report = quantizer.assignment_report(dataset, codebook)
     print(f"wrote bank to {args.out} (n={built.n}, dim={built.dim})")
     print(f"final loss: {history[-1].loss:.6f}")
-    print(f"assignment entropy: {_entropy(report.counts):.6f} nats")
+    print(f"assignment entropy: {_entropy(counts):.6f} nats")
     return EXIT_OK
 
 
@@ -202,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--hidden", type=int, default=128)
     p.add_argument(
-        "--normalize", action="store_true", help="L2-normalize vectors at ingestion"
+        "--normalize", action=argparse.BooleanOptionalAction, default=True,
+        help="L2-normalize vectors at ingestion (default); --no-normalize keeps them raw",
     )
     p.add_argument("--hints", choices=("on", "off"), default="on")
     p.add_argument("--max-iters", type=int, default=200)
@@ -218,7 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("bank")
     p.add_argument("embeddings")
-    p.add_argument("--normalize", action="store_true")
+    p.add_argument(
+        "--normalize", action=argparse.BooleanOptionalAction, default=True,
+        help="L2-normalize vectors at ingestion, as build-bank does (default)",
+    )
     p.add_argument(
         "--groups-out", default=None,
         help="grouping report path (default: BANK.groups.json)",

@@ -3,7 +3,8 @@
 Embeddings are produced by an external encoder and arrive as JSON-lines
 files, one record per line: ``{"id": str, "label": "pedestrian" |
 "background", "vector": [numbers]}``. Line order is significant and is
-preserved by every operation here.
+preserved by every operation here. In memory a file is one
+``EmbeddingDataset``: the ids, the labels and one ``(len, dim)`` matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .errors import DimensionError, ParseError, PreconditionError
+from .errors import DimensionError, ParseError, PreconditionError, check_sizes
 
 PEDESTRIAN = "pedestrian"
 BACKGROUND = "background"
@@ -22,71 +23,50 @@ LABELS = (PEDESTRIAN, BACKGROUND)
 
 
 @dataclass(frozen=True)
-class EmbeddingRecord:
-    """A single labeled embedding of dimension ``len(vector)``."""
-
-    id: str
-    label: str
-    vector: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=np.float64)
-        object.__setattr__(self, "vector", vec)
-        if not isinstance(self.id, str) or not self.id:
-            raise PreconditionError("record id must be a non-empty string")
-        if self.label not in LABELS:
-            raise PreconditionError(
-                f"record {self.id!r}: label must be one of {LABELS}, got {self.label!r}"
-            )
-        if vec.ndim != 1 or vec.size == 0:
-            raise DimensionError(f"record {self.id!r}: vector must be a non-empty 1-d array")
-        if not np.all(np.isfinite(vec)):
-            raise PreconditionError(f"record {self.id!r}: vector has non-finite coordinates")
-
-
-@dataclass(frozen=True)
 class EmbeddingDataset:
-    """Ordered records sharing one embedding dimension.
+    """Labeled embeddings as columns: row ``i`` is ``ids[i]``, ``labels[i]``
+    and ``vectors[i]``.
 
-    ``dim`` is ``None`` only for an empty dataset parsed from an empty
-    file, where no dimension can be inferred.
+    ``vectors`` is an owned, read-only float64 ``(len, dim)`` array. ``dim``
+    is ``None`` only for an empty dataset parsed from an empty file, where no
+    dimension can be inferred; its ``vectors`` is ``(0, 0)``.
     """
 
-    dim: int | None
-    records: tuple[EmbeddingRecord, ...]
+    ids: tuple[str, ...]
+    labels: tuple[str, ...]
+    vectors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        if not self.records:
-            if self.dim is not None and self.dim < 1:
-                raise DimensionError("dim must be positive or None for an empty dataset")
-            return
-        if self.dim is None or self.dim < 1:
-            raise DimensionError("a non-empty dataset must declare a positive dim")
-        seen = set()
-        for rec in self.records:
-            if rec.vector.shape[0] != self.dim:
-                raise DimensionError(
-                    f"record {rec.id!r} has dimension {rec.vector.shape[0]}, expected {self.dim}"
-                )
-            if rec.id in seen:
-                raise PreconditionError(f"duplicate record id {rec.id!r}")
-            seen.add(rec.id)
+        ids, labels = tuple(self.ids), tuple(self.labels)
+        try:
+            vectors = np.array(self.vectors, dtype=np.float64)
+        except ValueError as exc:  # rows of different lengths
+            raise DimensionError("vectors must be a (len, dim) number array") from exc
+        vectors.flags.writeable = False
+        for name, value in (("ids", ids), ("labels", labels), ("vectors", vectors)):
+            object.__setattr__(self, name, value)
+        if vectors.ndim != 2 or not len(ids) == len(labels) == vectors.shape[0]:
+            raise DimensionError(
+                f"need one id and one label per row of a 2-d vectors array, got "
+                f"{len(ids)} ids, {len(labels)} labels and vectors of shape {vectors.shape}"
+            )
+        if ids and vectors.shape[1] == 0:
+            raise DimensionError("vectors must have at least one coordinate")
+        if not all(isinstance(i, str) and i for i in ids):
+            raise PreconditionError("record ids must be non-empty strings")
+        if len(set(ids)) != len(ids):
+            raise PreconditionError("duplicate record id")
+        if not set(labels) <= set(LABELS):
+            raise PreconditionError(f"labels must be in {LABELS}")
+        if not np.isfinite(vectors).all():
+            raise PreconditionError("vectors have non-finite coordinates")
+
+    @property
+    def dim(self) -> int | None:
+        return self.vectors.shape[1] or None
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def matrix(self) -> np.ndarray:
-        """Stack all vectors into a ``(len, dim)`` array (``(0, 0)`` when empty)."""
-        if not self.records:
-            return np.zeros((0, 0))
-        return np.stack([rec.vector for rec in self.records])
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(rec.id for rec in self.records)
+        return len(self.ids)
 
 
 def parse_embedding_file(path, normalize: bool = False) -> EmbeddingDataset:
@@ -97,61 +77,67 @@ def parse_embedding_file(path, normalize: bool = False) -> EmbeddingDataset:
     record. With ``normalize`` set, each vector is L2-normalized at
     ingestion. Errors name the offending 1-based line.
     """
-    records: list[EmbeddingRecord] = []
+    ids: list[str] = []
+    labels: list[str] = []
+    rows = bytearray()  # float64 bytes of every vector in line order: one buffer, not an array per row
     dim: int | None = None
-    seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            where = f"{path}: line {lineno}"
-            line = raw.strip()
-            if not line:
-                raise ParseError(f"{where}: blank line")
+    seen: set[str] = set()
+    for lineno, raw in jsonio.read_lines(path):
+        where = f"{path}: line {lineno}"
+        line = raw.strip()
+        if not line:
+            raise ParseError(f"{where}: blank line")
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{where}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict) or set(obj) != {"id", "label", "vector"}:
+            raise ParseError(f"{where}: expected an object with keys id, label, vector")
+        rec_id, label = obj["id"], obj["label"]
+        if not isinstance(rec_id, str) or not rec_id:
+            raise ParseError(f"{where}: id must be a non-empty string")
+        if label not in LABELS:
+            raise ParseError(f"{where}: unknown label {label!r}")
+        vec = jsonio.read_array(obj, "vector", where, (None,))
+        if dim is None:
+            dim = vec.shape[0]
+        elif vec.shape[0] != dim:
+            raise DimensionError(f"{where}: vector has {vec.shape[0]} coordinates, expected {dim}")
+        if rec_id in seen:
+            raise ParseError(f"{where}: duplicate id {rec_id!r}")
+        seen.add(rec_id)
+        if normalize:
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict) or set(obj) != {"id", "label", "vector"}:
-                raise ParseError(f"{where}: expected an object with keys id, label, vector")
-            rec_id, label = obj["id"], obj["label"]
-            if not isinstance(rec_id, str) or not rec_id:
-                raise ParseError(f"{where}: id must be a non-empty string")
-            if label not in LABELS:
-                raise ParseError(f"{where}: unknown label {label!r}")
-            vec = jsonio.read_array(obj, "vector", where, (None,))
-            if dim is None:
-                dim = int(vec.shape[0])
-            elif vec.shape[0] != dim:
-                raise DimensionError(
-                    f"{where}: vector has {vec.shape[0]} coordinates, expected {dim}"
-                )
-            if rec_id in seen_ids:
-                raise ParseError(f"{where}: duplicate id {rec_id!r}")
-            seen_ids.add(rec_id)
-            if normalize:
-                try:
-                    vec = l2_normalize(vec)
-                except PreconditionError as exc:
-                    raise PreconditionError(f"{where}: {exc}") from exc
-            records.append(EmbeddingRecord(rec_id, label, vec))
-    return EmbeddingDataset(dim=dim, records=tuple(records))
+                vec = l2_normalize(vec)
+            except PreconditionError as exc:
+                raise PreconditionError(f"{where}: {exc}") from exc
+        ids.append(rec_id)
+        labels.append(label)
+        rows += vec.tobytes()
+    vectors = np.frombuffer(rows).reshape(len(ids), dim or 0)
+    return EmbeddingDataset(ids=tuple(ids), labels=tuple(labels), vectors=vectors)
 
 
 def write_embedding_file(dataset: EmbeddingDataset, path) -> None:
     """Serialize a dataset as JSON lines with round-trip exact floats."""
-    jsonio.write_documents(
-        path,
-        ({"id": rec.id, "label": rec.label, "vector": rec.vector.tolist()} for rec in dataset),
-    )
+    jsonio.write_documents(path, (
+        {"id": rec_id, "label": label, "vector": vector}
+        for rec_id, label, vector in zip(dataset.ids, dataset.labels, dataset.vectors.tolist())
+    ))
 
 
 def split_by_label(dataset: EmbeddingDataset) -> tuple[EmbeddingDataset, EmbeddingDataset]:
-    """Partition into (pedestrians, backgrounds), preserving record order."""
-    peds = tuple(r for r in dataset if r.label == PEDESTRIAN)
-    bgs = tuple(r for r in dataset if r.label == BACKGROUND)
-    return (
-        EmbeddingDataset(dim=dataset.dim, records=peds),
-        EmbeddingDataset(dim=dataset.dim, records=bgs),
-    )
+    """Partition into (pedestrians, backgrounds), preserving row order."""
+
+    def labeled(label: str) -> EmbeddingDataset:
+        rows = [i for i, row_label in enumerate(dataset.labels) if row_label == label]
+        return EmbeddingDataset(
+            ids=tuple(dataset.ids[i] for i in rows),
+            labels=(label,) * len(rows),
+            vectors=dataset.vectors[rows],
+        )
+
+    return labeled(PEDESTRIAN), labeled(BACKGROUND)
 
 
 def l2_normalize(vector) -> np.ndarray:
@@ -178,8 +164,7 @@ def generate_synthetic(
     splits for each other. ``separation`` 0 makes the labels statistically
     indistinguishable.
     """
-    if pedestrians < 1 or backgrounds < 1:
-        raise PreconditionError("pedestrian and background counts must be positive")
+    check_sizes(pedestrians=pedestrians, backgrounds=backgrounds)
     if dim < 2:
         raise PreconditionError("dim must be at least 2")
     if separation < 0:
@@ -189,10 +174,9 @@ def generate_synthetic(
     offset = 0.5 * separation * direction
     ped_vecs = rng.normal(size=(pedestrians, dim)) + offset
     bg_vecs = rng.normal(size=(backgrounds, dim)) - offset
-    records = [
-        EmbeddingRecord(f"ped-{i:05d}", PEDESTRIAN, ped_vecs[i]) for i in range(pedestrians)
-    ]
-    records += [
-        EmbeddingRecord(f"bg-{i:05d}", BACKGROUND, bg_vecs[i]) for i in range(backgrounds)
-    ]
-    return EmbeddingDataset(dim=dim, records=tuple(records))
+    return EmbeddingDataset(
+        ids=tuple(f"ped-{i:05d}" for i in range(pedestrians))
+        + tuple(f"bg-{i:05d}" for i in range(backgrounds)),
+        labels=(PEDESTRIAN,) * pedestrians + (BACKGROUND,) * backgrounds,
+        vectors=np.concatenate([ped_vecs, bg_vecs]),
+    )

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one size rule."""
 
 
 class PedbankError(Exception):
@@ -19,3 +19,9 @@ class PreconditionError(PedbankError):
 
 class NumericalError(PedbankError):
     """A computation produced non-finite values."""
+
+
+def check_sizes(**sizes) -> None:
+    """Raise ``PreconditionError`` unless every size is an int (not a bool) of at least 1."""
+    if any(type(size) is not int or size < 1 for size in sizes.values()):
+        raise PreconditionError(f"{' and '.join(sizes)} must be positive integers")

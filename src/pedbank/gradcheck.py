@@ -31,6 +31,11 @@ DEFAULT_TOLERANCE = 1e-6
 CLASSIFIER_GROUPS = ("w1", "b1", "w2", "b2", "hints")
 ATTENTION_GROUPS = ("w_q", "w_k", "w_v", "w_o", "gain", "bias")
 
+# sizes of the one seeded instance each check runs on
+CLF_DIM, CLF_N, CLF_HIDDEN = 8, 4, 6
+ATTN_M, ATTN_H, ATTN_W, ATTN_C = 1, 2, 2, 8
+ATTN_N, ATTN_D, ATTN_D_M, ATTN_HEADS = 4, 8, 4, 2
+
 
 def relative_error(analytic, numeric) -> float:
     """Worst per-coordinate relative error between two gradient arrays."""
@@ -65,14 +70,7 @@ def central_difference(fn, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndar
     return grad
 
 
-def classifier_check(
-    seed: int,
-    dim: int = 8,
-    n: int = 4,
-    hidden: int = 6,
-    step: float = DEFAULT_STEP,
-    negate: str | None = None,
-) -> dict[str, float]:
+def classifier_check(seed: int, negate: str | None = None) -> dict[str, float]:
     """Max relative error per parameter group of the classifier backward.
 
     Checks both labels on one random instance; the hints group compares
@@ -80,6 +78,7 @@ def classifier_check(
     get exactly zero gradient. ``negate`` flips one analytic group's sign,
     a hook for proving the detector catches wrong gradients.
     """
+    dim, n, hidden = CLF_DIM, CLF_N, CLF_HIDDEN
     rng = np.random.default_rng(seed)
     codebook = Codebook(n=n, dim=dim, centroids=rng.normal(size=(n, dim)))
     hints = HintSet(n=n, dim=dim, hints=rng.normal(scale=0.1, size=(n, dim)))
@@ -111,12 +110,12 @@ def classifier_check(
         numeric = {
             name: central_difference(
                 lambda x, _name=name: loss(clf2=dataclasses.replace(clf, **{_name: x})),
-                np.array(getattr(clf, name)), step,
+                np.array(getattr(clf, name)),
             )
             for name in ("w1", "b1", "w2", "b2")
         }
         numeric["hints"] = central_difference(
-            lambda x: loss(hints2=dataclasses.replace(hints, hints=x)), hints.hints.copy(), step
+            lambda x: loss(hints2=dataclasses.replace(hints, hints=x)), hints.hints.copy()
         )
         for name in CLASSIFIER_GROUPS:
             a = -analytic[name] if negate == name else analytic[name]
@@ -124,20 +123,10 @@ def classifier_check(
     return worst
 
 
-def attention_check(
-    seed: int,
-    m: int = 1,
-    h: int = 2,
-    w: int = 2,
-    c: int = 8,
-    n: int = 4,
-    d: int = 8,
-    d_m: int = 4,
-    heads: int = 2,
-    step: float = DEFAULT_STEP,
-    negate: str | None = None,
-) -> dict[str, float]:
+def attention_check(seed: int, negate: str | None = None) -> dict[str, float]:
     """Max relative error per parameter group of the attention backward."""
+    m, h, w, c = ATTN_M, ATTN_H, ATTN_W, ATTN_C
+    n, d, d_m, heads = ATTN_N, ATTN_D, ATTN_D_M, ATTN_HEADS
     rng = np.random.default_rng(seed)
     batch = FeatureBatch(mode=PROPOSAL, blocks=rng.normal(size=(m, h, w, c)))
     f_q = rng.normal(size=(n, d))
@@ -156,7 +145,7 @@ def attention_check(
         def fn(x, _name=name):
             return value(dataclasses.replace(params, **{_name: x}))
 
-        numeric = central_difference(fn, getattr(params, name).copy(), step)
+        numeric = central_difference(fn, getattr(params, name).copy())
         analytic = getattr(grads, name)
         results[name] = relative_error(-analytic if negate == name else analytic, numeric)
     return results

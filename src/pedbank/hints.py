@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import EmbeddingDataset
-from .errors import DimensionError, NumericalError, PreconditionError
+from .errors import DimensionError, NumericalError, PreconditionError, check_sizes
 from .quantizer import Codebook, route
 
 
@@ -30,6 +30,7 @@ class HintSet:
     hints: np.ndarray
 
     def __post_init__(self):
+        check_sizes(n=self.n, dim=self.dim)
         mat = np.asarray(self.hints, dtype=np.float64)
         object.__setattr__(self, "hints", mat)
         if mat.shape != (self.n, self.dim):
@@ -85,10 +86,7 @@ class TrainConfig:
     def __post_init__(self):
         if not self.lr > 0:
             raise PreconditionError("lr must be positive")
-        if self.steps < 1:
-            raise PreconditionError("steps must be at least 1")
-        if self.hidden < 1:
-            raise PreconditionError("hidden must be at least 1")
+        check_sizes(steps=self.steps, hidden=self.hidden)
 
 
 @dataclass(frozen=True)
@@ -129,16 +127,14 @@ class ClassifierGrads:
 
 def init_hints(n: int, dim: int, seed: int) -> HintSet:
     """Zero-mean Gaussian hints at scale 0.01, deterministic per seed."""
-    if n < 1 or dim < 1:
-        raise PreconditionError("n and dim must be positive")
+    check_sizes(n=n, dim=dim)
     rng = np.random.default_rng(seed)
     return HintSet(n=n, dim=dim, hints=rng.normal(0.0, 0.01, size=(n, dim)))
 
 
 def init_classifier(dim: int, hidden: int, seed: int) -> ClassifierParams:
     """1/sqrt(fan-in) Gaussian weights, zero biases, deterministic per seed."""
-    if dim < 1 or hidden < 1:
-        raise PreconditionError("dim and hidden must be positive")
+    check_sizes(dim=dim, hidden=hidden)
     rng = np.random.default_rng(seed)
     w1 = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(hidden, dim))
     w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(1, hidden))
@@ -241,8 +237,8 @@ def train_hints(
     hints = init_hints(codebook.n, codebook.dim, config.seed)
     clf = init_classifier(codebook.dim, config.hidden, config.seed + 1)
     rng = np.random.default_rng(config.seed + 2)
-    ped_routes = route(pedestrians.matrix(), codebook).tolist()
-    bg_routes = route(backgrounds.matrix(), codebook).tolist()
+    ped_routes = route(pedestrians.vectors, codebook).tolist()
+    bg_routes = route(backgrounds.vectors, codebook).tolist()
 
     history: list[StepRecord] = []
     lr = config.lr

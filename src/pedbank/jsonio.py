@@ -3,9 +3,9 @@ bank, feature-batch and attention-parameter files.
 
 Numbers are JSON ints or floats, never bools; versions and sizes are JSON
 integers; arrays must have their declared shape and finite values. Every
-violation is a ``ParseError`` naming the file and the key. Writers emit
-sorted keys and shortest round-trip floats, so the same object always
-produces the same bytes.
+violation is a ``ParseError`` naming the file and the key, and so is a
+file that is not UTF-8 text. Writers emit sorted keys and shortest
+round-trip floats, so the same object always produces the same bytes.
 """
 
 from __future__ import annotations
@@ -19,6 +19,15 @@ from .errors import ParseError
 _NUMBERS = {int, float}
 
 
+def read_lines(path):
+    """Yield ``(lineno, line)`` for every line of the UTF-8 text file ``path``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def read_document(path, keys) -> dict:
     """Load a JSON object from ``path`` that holds at least ``keys``."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -26,6 +35,8 @@ def read_document(path, keys) -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON ({exc.msg})") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object")
     missing = set(keys) - set(doc)

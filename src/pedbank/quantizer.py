@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingDataset
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, PreconditionError, check_sizes
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,7 @@ class KMeansConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise PreconditionError("n must be at least 1")
-        if self.max_iters < 1:
-            raise PreconditionError("max_iters must be at least 1")
+        check_sizes(n=self.n, max_iters=self.max_iters)
         if not self.tol >= 0:
             raise PreconditionError("tol must be nonnegative")
 
@@ -42,6 +39,7 @@ class Codebook:
     centroids: np.ndarray
 
     def __post_init__(self):
+        check_sizes(n=self.n, dim=self.dim)
         cents = np.asarray(self.centroids, dtype=np.float64)
         object.__setattr__(self, "centroids", cents)
         if cents.shape != (self.n, self.dim):
@@ -107,9 +105,7 @@ def kmeans_with_objectives(
     """
     if len(points) == 0:
         raise PreconditionError("cannot cluster an empty dataset")
-    X = points.matrix()
-    if not np.all(np.isfinite(X)):
-        raise PreconditionError("points must be finite")
+    X = points.vectors
     distinct = int(np.unique(X, axis=0).shape[0])
     if distinct < config.n:
         raise PreconditionError(
@@ -182,8 +178,8 @@ def assignment_report(dataset: EmbeddingDataset, codebook: Codebook) -> Assignme
             raise DimensionError(
                 f"dataset dimension {dataset.dim} does not match codebook dimension {codebook.dim}"
             )
-        for rec, idx in zip(dataset, route(dataset.matrix(), codebook).tolist()):
-            groups[idx].append(rec.id)
+        for rec_id, idx in zip(dataset.ids, route(dataset.vectors, codebook).tolist()):
+            groups[idx].append(rec_id)
     return AssignmentReport(
         counts=[len(g) for g in groups.values()], groups={i: tuple(g) for i, g in groups.items()}
     )

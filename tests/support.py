@@ -5,19 +5,17 @@ import math
 import numpy as np
 
 from pedbank.bank import KnowledgeBank
-from pedbank.embeddings import BACKGROUND, PEDESTRIAN, EmbeddingDataset, EmbeddingRecord
+from pedbank.embeddings import BACKGROUND, PEDESTRIAN, EmbeddingDataset
 
 
 def make_dataset(vectors, labels=None, prefix="r"):
-    vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
     if labels is None:
         labels = [PEDESTRIAN] * len(vectors)
-    records = tuple(
-        EmbeddingRecord(f"{prefix}{i}", label, vec)
-        for i, (vec, label) in enumerate(zip(vectors, labels))
+    return EmbeddingDataset(
+        ids=tuple(f"{prefix}{i}" for i in range(len(vectors))),
+        labels=tuple(labels),
+        vectors=vectors if len(vectors) else np.empty((0, 0)),
     )
-    dim = vectors[0].shape[0] if vectors else None
-    return EmbeddingDataset(dim=dim, records=records)
 
 
 def random_bank(seed, n, dim, meta=None):

@@ -94,9 +94,9 @@ def test_hint_training_learns_separable_data(tmp_path):
         seed=3, pedestrians=300, backgrounds=200, dim=16, separation=SEPARATION
     )
     correct = 0
-    for rec in held:
-        logit, _ = forward_classify(quantize(rec.vector, codebook), codebook, hint_set, clf)
-        correct += int((logit > 0) == (rec.label == "pedestrian"))
+    for label, vector in zip(held.labels, held.vectors):
+        logit, _ = forward_classify(quantize(vector, codebook), codebook, hint_set, clf)
+        correct += int((logit > 0) == (label == "pedestrian"))
     accuracy = correct / len(held)
 
     train_file = tmp_path / "train.jsonl"

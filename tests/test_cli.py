@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from pedbank.cli import (
 )
 from pedbank.embeddings import (
     EmbeddingDataset,
-    EmbeddingRecord,
     generate_synthetic,
     parse_embedding_file,
     split_by_label,
@@ -28,8 +29,27 @@ from pedbank.quantizer import Codebook, KMeansConfig, assignment_report, kmeans,
 from support import random_bank
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def readme_cli_commands():
+    """The ``pedbank`` lines of the README's CLI block as argv lists, by subcommand."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("pedbank ")]
+    return {argv[0]: argv for argv in argvs}
+
+
+def test_readme_quick_start_runs_with_its_defaults(tmp_path, monkeypatch):
+    # complement is left out: the README does not create its features.json
+    commands = readme_cli_commands()
+    monkeypatch.chdir(tmp_path)
+    for name in ("gen-synthetic", "build-bank", "inspect"):
+        assert main(commands[name]) == EXIT_OK, commands[name]
 
 
 @pytest.fixture()
@@ -111,6 +131,14 @@ class TestBuildBank:
         np.testing.assert_array_equal(loaded.f_h, init_hints(4, 16, seed=5).hints)
         assert loaded.meta["hints"] == "off"
 
+    def test_normalizes_unless_told_not_to(self, tmp_path, embeddings_file):
+        for flags, expected in (((), "true"), (("--no-normalize",), "false")):
+            bank_path = tmp_path / "bank.json"
+            assert run(
+                "build-bank", embeddings_file, bank_path, "--n", 4, "--steps", 5, *flags
+            ) == EXIT_OK
+            assert load_bank(bank_path).meta["normalize"] == expected
+
     def test_rejects_single_label_input(self, tmp_path):
         dataset = generate_synthetic(seed=1, pedestrians=20, backgrounds=1, dim=8)
         peds, _ = split_by_label(dataset)
@@ -120,12 +148,13 @@ class TestBuildBank:
 
     def test_rejects_too_few_distinct_points(self, tmp_path):
         vec_a, vec_b, vec_c = [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]
-        records = [
-            EmbeddingRecord(id=f"p{i}", label="pedestrian", vector=np.asarray(v))
-            for i, v in enumerate([vec_a, vec_a, vec_b, vec_b, vec_c])
-        ] + [EmbeddingRecord(id="b0", label="background", vector=np.asarray([5.0, 5.0]))]
+        dataset = EmbeddingDataset(
+            ids=("p0", "p1", "p2", "p3", "p4", "b0"),
+            labels=("pedestrian",) * 5 + ("background",),
+            vectors=[vec_a, vec_a, vec_b, vec_b, vec_c, [5.0, 5.0]],
+        )
         path = tmp_path / "few.jsonl"
-        write_embedding_file(EmbeddingDataset(records=tuple(records), dim=2), path)
+        write_embedding_file(dataset, path)
         assert run("build-bank", path, tmp_path / "bank.json", "--n", 4) == EXIT_PRECONDITION
 
     def test_malformed_embeddings(self, tmp_path):
@@ -299,9 +328,9 @@ class TestIndistinguishableControl:
             seed=3, pedestrians=250, backgrounds=250, dim=16, separation=0.0
         )
         correct = 0
-        for rec in held:
-            logit, _ = forward_classify(quantize(rec.vector, codebook), codebook, hint_set, clf)
+        for label, vector in zip(held.labels, held.vectors):
+            logit, _ = forward_classify(quantize(vector, codebook), codebook, hint_set, clf)
             predicted = 1 if logit > 0 else 0
-            correct += int(predicted == (1 if rec.label == "pedestrian" else 0))
+            correct += int(predicted == (1 if label == "pedestrian" else 0))
         accuracy = correct / len(held)
         assert 0.3 <= accuracy <= 0.7, accuracy

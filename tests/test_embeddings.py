@@ -10,7 +10,6 @@ from pedbank.embeddings import (
     BACKGROUND,
     PEDESTRIAN,
     EmbeddingDataset,
-    EmbeddingRecord,
     generate_synthetic,
     l2_normalize,
     parse_embedding_file,
@@ -35,10 +34,10 @@ class TestParse:
         ])
         ds = parse_embedding_file(path)
         assert len(ds) == 2 and ds.dim == 4
-        assert ds.ids() == ("a", "b")
-        assert ds.records[0].label == PEDESTRIAN
-        assert ds.records[1].label == BACKGROUND
-        np.testing.assert_array_equal(ds.records[1].vector, [0.5, -1.25, 0.0, 9.0])
+        assert ds.ids == ("a", "b")
+        assert ds.labels[0] == PEDESTRIAN
+        assert ds.labels[1] == BACKGROUND
+        np.testing.assert_array_equal(ds.vectors[1], [0.5, -1.25, 0.0, 9.0])
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = tmp_path / "e.jsonl"
@@ -98,10 +97,10 @@ class TestParse:
             '{"id": "b", "label": "background", "vector": [0.0, -2.0]}',
         ])
         ds = parse_embedding_file(path, normalize=True)
-        for rec in ds:
-            assert math.isclose(float(np.linalg.norm(rec.vector)), 1.0, abs_tol=1e-9)
+        for vector in ds.vectors:
+            assert math.isclose(float(np.linalg.norm(vector)), 1.0, abs_tol=1e-9)
         raw = parse_embedding_file(path)
-        assert not math.isclose(float(np.linalg.norm(raw.records[0].vector)), 1.0)
+        assert not math.isclose(float(np.linalg.norm(raw.vectors[0])), 1.0)
 
 
 def test_write_then_parse_is_identical(tmp_path):
@@ -109,9 +108,9 @@ def test_write_then_parse_is_identical(tmp_path):
     path = tmp_path / "synth.jsonl"
     write_embedding_file(ds, path)
     back = parse_embedding_file(path)
-    assert back.ids() == ds.ids()
-    assert [r.label for r in back] == [r.label for r in ds]
-    np.testing.assert_array_equal(back.matrix(), ds.matrix())
+    assert back.ids == ds.ids
+    assert back.labels == ds.labels
+    np.testing.assert_array_equal(back.vectors, ds.vectors)
     # a second serialization of the parsed dataset is byte-identical
     again = tmp_path / "again.jsonl"
     write_embedding_file(back, again)
@@ -125,9 +124,9 @@ class TestSplit:
             labels=[PEDESTRIAN, BACKGROUND, PEDESTRIAN, PEDESTRIAN, BACKGROUND],
         )
         peds, bgs = split_by_label(ds)
-        assert peds.ids() == ("r0", "r2", "r3")
-        assert bgs.ids() == ("r1", "r4")
-        assert set(peds.ids()) | set(bgs.ids()) == set(ds.ids())
+        assert peds.ids == ("r0", "r2", "r3")
+        assert bgs.ids == ("r1", "r4")
+        assert set(peds.ids) | set(bgs.ids) == set(ds.ids)
 
     def test_all_pedestrian_gives_empty_background(self):
         ds = make_dataset([[1.0], [2.0]])
@@ -138,7 +137,7 @@ class TestSplit:
         ds = generate_synthetic(seed=7, pedestrians=600, backgrounds=400, dim=16)
         peds, bgs = split_by_label(ds)
         assert len(peds) == 600 and len(bgs) == 400
-        assert set(peds.ids()) | set(bgs.ids()) == set(ds.ids())
+        assert set(peds.ids) | set(bgs.ids) == set(ds.ids)
 
 
 class TestL2Normalize:
@@ -174,14 +173,14 @@ class TestGenerateSynthetic:
     def test_deterministic_and_ordered(self):
         a = generate_synthetic(seed=9, pedestrians=5, backgrounds=3, dim=4)
         b = generate_synthetic(seed=9, pedestrians=5, backgrounds=3, dim=4)
-        np.testing.assert_array_equal(a.matrix(), b.matrix())
-        assert [r.label for r in a] == [PEDESTRIAN] * 5 + [BACKGROUND] * 3
+        np.testing.assert_array_equal(a.vectors, b.vectors)
+        assert list(a.labels) == [PEDESTRIAN] * 5 + [BACKGROUND] * 3
 
     def test_separation_realized(self):
         ds = generate_synthetic(seed=6, pedestrians=1000, backgrounds=1000, dim=16, separation=8.0)
         peds, bgs = split_by_label(ds)
         u = np.ones(16) / 4.0
-        gap = float((peds.matrix().mean(axis=0) - bgs.matrix().mean(axis=0)) @ u)
+        gap = float((peds.vectors.mean(axis=0) - bgs.vectors.mean(axis=0)) @ u)
         assert abs(gap - 8.0) < 0.2
 
     def test_rejects_bad_arguments(self):
@@ -192,21 +191,49 @@ class TestGenerateSynthetic:
         with pytest.raises(PreconditionError):
             generate_synthetic(seed=0, pedestrians=1, backgrounds=1, dim=4, separation=-1.0)
 
+    @pytest.mark.parametrize("count", [True, 2.5])
+    def test_counts_must_be_positive_integers(self, count):
+        with pytest.raises(PreconditionError, match="positive integers"):
+            generate_synthetic(seed=0, pedestrians=count, backgrounds=1, dim=4)
+        with pytest.raises(PreconditionError, match="positive integers"):
+            generate_synthetic(seed=0, pedestrians=1, backgrounds=count, dim=4)
+
 
 class TestDatasetInvariants:
     def test_duplicate_ids_rejected(self):
-        rec = EmbeddingRecord("a", PEDESTRIAN, np.array([1.0]))
         with pytest.raises(PreconditionError, match="duplicate"):
-            EmbeddingDataset(dim=1, records=(rec, rec))
+            EmbeddingDataset(ids=("a", "a"), labels=(PEDESTRIAN,) * 2, vectors=[[1.0], [1.0]])
 
     def test_mixed_dimensions_rejected(self):
-        recs = (
-            EmbeddingRecord("a", PEDESTRIAN, np.array([1.0])),
-            EmbeddingRecord("b", PEDESTRIAN, np.array([1.0, 2.0])),
-        )
         with pytest.raises(DimensionError):
-            EmbeddingDataset(dim=1, records=recs)
+            EmbeddingDataset(ids=("a", "b"), labels=(PEDESTRIAN,) * 2, vectors=[[1.0], [1.0, 2.0]])
 
     def test_record_rejects_non_finite(self):
         with pytest.raises(PreconditionError):
-            EmbeddingRecord("a", PEDESTRIAN, np.array([1.0, np.inf]))
+            EmbeddingDataset(ids=("a",), labels=(PEDESTRIAN,), vectors=[[1.0, np.inf]])
+
+    @pytest.mark.parametrize("ids, labels, vectors, error", [
+        (("a",), (PEDESTRIAN, PEDESTRIAN), [[1.0]], DimensionError),
+        (("a", "b"), (PEDESTRIAN, PEDESTRIAN), [[1.0]], DimensionError),
+        (("a",), (PEDESTRIAN,), [1.0], DimensionError),
+        (("a",), (PEDESTRIAN,), [[]], DimensionError),
+        (("",), (PEDESTRIAN,), [[1.0]], PreconditionError),
+        ((1,), (PEDESTRIAN,), [[1.0]], PreconditionError),
+        (("a",), ("person",), [[1.0]], PreconditionError),
+    ])
+    def test_constructor_checks_every_column(self, ids, labels, vectors, error):
+        with pytest.raises(error):
+            EmbeddingDataset(ids=ids, labels=labels, vectors=vectors)
+
+    def test_vectors_are_an_owned_read_only_matrix(self):
+        source = np.array([[1.0, 2.0]])
+        ds = EmbeddingDataset(ids=("a",), labels=(PEDESTRIAN,), vectors=source)
+        source[0, 0] = 5.0
+        assert ds.vectors[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            ds.vectors[0, 0] = 3.0
+
+    def test_empty_split_keeps_the_dimension(self):
+        peds, bgs = split_by_label(make_dataset([[1.0, 2.0]]))
+        assert (len(peds), peds.dim) == (1, 2)
+        assert (len(bgs), bgs.dim) == (0, 2)

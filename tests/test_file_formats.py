@@ -83,6 +83,17 @@ MALFORMED = [
 ]
 
 
+def argv_reading(name, files, tmp_path):
+    """A CLI run that reads ``files[name]``."""
+    if name == "embeddings":
+        argv = ["build-bank", files["embeddings"], tmp_path / "out.json"]
+    else:
+        features = files["query" if name == "query" else "proposal"]
+        argv = ["complement", files["bank"], features, tmp_path / "out.json",
+                "--params", files["params"]]
+    return [str(a) for a in argv]
+
+
 @pytest.mark.parametrize(
     "name, keys, value", MALFORMED,
     ids=[f"{name}-{'.'.join(map(str, keys))}={value!r}" for name, keys, value in MALFORMED],
@@ -98,11 +109,14 @@ def test_malformed_value_exits_2_naming_the_file(tmp_path, capsys, valid_files, 
     lines[0] = json.dumps(doc)
     path.write_text("\n".join(lines) + "\n")
 
-    if name == "embeddings":
-        argv = ["build-bank", path, tmp_path / "out.json"]
-    else:
-        features = valid_files["query" if name == "query" else "proposal"]
-        argv = ["complement", valid_files["bank"], features, tmp_path / "out.json",
-                "--params", valid_files["params"]]
-    assert main([str(a) for a in argv]) == EXIT_PARSE
+    assert main(argv_reading(name, valid_files, tmp_path)) == EXIT_PARSE
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["bank", "proposal", "query", "params", "embeddings"])
+def test_non_utf8_file_exits_2_naming_the_file(tmp_path, capsys, valid_files, name):
+    path = valid_files[name]
+    path.write_bytes(b"\xff" + path.read_bytes())
+    assert main(argv_reading(name, valid_files, tmp_path)) == EXIT_PARSE
+    assert str(path) in capsys.readouterr().err
+

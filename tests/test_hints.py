@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from pedbank.embeddings import (
     EmbeddingDataset,
-    EmbeddingRecord,
     generate_synthetic,
     l2_normalize,
     split_by_label,
@@ -65,6 +64,21 @@ class TestInit:
             init_hints(0, 4, seed=0)
         with pytest.raises(PreconditionError):
             init_classifier(4, 0, seed=0)
+
+    @pytest.mark.parametrize("size", [0, True, 1.0])
+    def test_hint_set_sizes_must_be_positive_integers(self, size):
+        # hints of the matching shape, so only the size rule can reject
+        with pytest.raises(PreconditionError, match="positive integers"):
+            HintSet(n=size, dim=2, hints=np.zeros((int(size), 2)))
+        with pytest.raises(PreconditionError, match="positive integers"):
+            HintSet(n=1, dim=size, hints=np.zeros((1, int(size))))
+
+    @pytest.mark.parametrize("size", [0, True, 1.0, 2.5])
+    def test_train_config_sizes_must_be_positive_integers(self, size):
+        with pytest.raises(PreconditionError, match="positive integers"):
+            TrainConfig(lr=0.1, steps=size)
+        with pytest.raises(PreconditionError, match="positive integers"):
+            TrainConfig(lr=0.1, steps=1, hidden=size)
 
 
 class TestForward:
@@ -201,10 +215,10 @@ class TestTrain:
             seed=3, pedestrians=300, backgrounds=200, dim=16, separation=SEPARATION
         )
         correct = 0
-        for rec in held:
-            logit, _ = forward_classify(quantize(rec.vector, codebook), codebook, hint_set, clf)
+        for label, vector in zip(held.labels, held.vectors):
+            logit, _ = forward_classify(quantize(vector, codebook), codebook, hint_set, clf)
             predicted = 1 if logit > 0 else 0
-            correct += int(predicted == (1 if rec.label == "pedestrian" else 0))
+            correct += int(predicted == (1 if label == "pedestrian" else 0))
         assert correct / len(held) >= 0.95
 
     def test_hints_off_returns_exact_initialization(self, separable):
@@ -311,9 +325,9 @@ def test_training_matches_golden_digests(separable, tmp_path):
         GOLDEN_TRAINING["separable"]
     )
     raw = generate_synthetic(seed=5, pedestrians=300, backgrounds=200, dim=64, separation=8.0)
-    normalized = EmbeddingDataset(dim=64, records=tuple(
-        EmbeddingRecord(rec.id, rec.label, l2_normalize(rec.vector)) for rec in raw
-    ))
+    normalized = EmbeddingDataset(
+        ids=raw.ids, labels=raw.labels, vectors=[l2_normalize(vector) for vector in raw.vectors]
+    )
     peds, bgs = split_by_label(normalized)
     codebook = kmeans(peds, KMeansConfig(n=8, seed=5))
     config = TrainConfig(lr=0.1, steps=500, seed=5, hidden=32)

@@ -97,6 +97,13 @@ class TestKMeans:
         with pytest.raises(PreconditionError):
             KMeansConfig(n=1, tol=-1.0)
 
+    @pytest.mark.parametrize("size", [0, True, 1.0, 2.5])
+    def test_config_sizes_must_be_positive_integers(self, size):
+        with pytest.raises(PreconditionError, match="positive integers"):
+            KMeansConfig(n=size)
+        with pytest.raises(PreconditionError, match="positive integers"):
+            KMeansConfig(n=1, max_iters=size)
+
 
 class TestQuantize:
     def test_identity_codebook(self):
@@ -136,6 +143,14 @@ class TestQuantize:
 
 
 class TestCodebook:
+    @pytest.mark.parametrize("size", [0, True, 1.0])
+    def test_sizes_must_be_positive_integers(self, size):
+        # centroids of the matching shape, so only the size rule can reject
+        with pytest.raises(PreconditionError, match="positive integers"):
+            Codebook(n=size, dim=2, centroids=np.ones((int(size), 2)))
+        with pytest.raises(PreconditionError, match="positive integers"):
+            Codebook(n=1, dim=size, centroids=np.ones((1, int(size))))
+
     def test_rejects_duplicate_rows(self):
         with pytest.raises(PreconditionError, match="distinct"):
             Codebook(n=2, dim=2, centroids=np.ones((2, 2)))
@@ -174,9 +189,9 @@ class TestAssignmentReport:
         cb = kmeans(ds, KMeansConfig(n=10, seed=5))
         rep = assignment_report(ds, cb)
         assert int(rep.counts.sum()) == 300
-        for rec in ds:
-            idx = quantize(rec.vector, cb)
-            assert rec.id in rep.groups[idx]
+        for rec_id, vector in zip(ds.ids, ds.vectors):
+            idx = quantize(vector, cb)
+            assert rec_id in rep.groups[idx]
         for i in range(10):
             assert int(rep.counts[i]) == len(rep.groups[i])
 
