@@ -51,7 +51,6 @@ from .hints import (
     write_history,
 )
 from .quantizer import (
-    AssignmentReport,
     Codebook,
     KMeansConfig,
     assignment_report,

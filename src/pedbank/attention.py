@@ -17,7 +17,14 @@ import numpy as np
 
 from . import jsonio
 from .bank import KnowledgeBank
-from .errors import DimensionError, NumericalError, ParseError, PreconditionError, check_sizes
+from .errors import (
+    DimensionError,
+    NumericalError,
+    ParseError,
+    PreconditionError,
+    check_array,
+    check_sizes,
+)
 
 PROPOSAL = "proposal"
 QUERY = "query"
@@ -36,21 +43,13 @@ class FeatureBatch:
     blocks: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.blocks, dtype=np.float64)
-        object.__setattr__(self, "blocks", arr)
         if self.mode not in MODES:
             raise PreconditionError(f"mode must be one of {MODES}, got {self.mode!r}")
-        expected = 4 if self.mode == PROPOSAL else 3
-        if arr.ndim != expected:
-            raise DimensionError(
-                f"{self.mode} blocks must be {expected}-d, got shape {arr.shape}"
-            )
-        if self.mode == QUERY and arr.shape[1] != 1:
-            raise DimensionError(f"query blocks must have shape (m, 1, c), got {arr.shape}")
+        shape = (None,) * 4 if self.mode == PROPOSAL else (None, 1, None)
+        arr = check_array(f"{self.mode} blocks", self.blocks, shape)
+        object.__setattr__(self, "blocks", arr)
         if min(arr.shape) < 1:
             raise DimensionError(f"all block sizes must be positive, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise PreconditionError("feature blocks must be finite")
 
     @property
     def m(self) -> int:
@@ -97,23 +96,14 @@ class AttentionParams:
     eps: float = 1e-5
 
     def __post_init__(self):
-        for name in _PARAM_ARRAYS:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         check_sizes(heads=self.heads, d_model=self.d_model)
         if not self.eps > 0:
             raise PreconditionError("eps must be positive")
-        if self.w_q.ndim != 3 or self.w_k.ndim != 3:
-            raise DimensionError(
-                f"w_q and w_k must be 3-d, got shapes {self.w_q.shape} and {self.w_k.shape}"
-            )
-        shapes = param_shapes(self.heads, self.d_model, self.w_q.shape[1], self.w_k.shape[1])
-        for name, shape in shapes.items():
-            got = getattr(self, name).shape
-            if got != shape:
-                raise DimensionError(f"{name} must have shape {shape}, got {got}")
-        for name in _PARAM_ARRAYS:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise PreconditionError(f"{name} must be finite")
+        for name in ("w_q", "w_k"):  # c and d are read off these two
+            shape = (self.heads, None, self.d_model)
+            object.__setattr__(self, name, check_array(name, getattr(self, name), shape))
+        for name, shape in param_shapes(self.heads, self.d_model, self.c, self.d).items():
+            object.__setattr__(self, name, check_array(name, getattr(self, name), shape))
 
     @property
     def c(self) -> int:
@@ -256,13 +246,7 @@ def attention_gradients(
     cover every projection matrix and the layer-norm affine; they are exact
     and are checked against central finite differences in the test suite.
     """
-    up = np.asarray(upstream, dtype=np.float64)
-    if up.shape != batch.blocks.shape:
-        raise DimensionError(
-            f"upstream shape {up.shape} must match blocks shape {batch.blocks.shape}"
-        )
-    if not np.all(np.isfinite(up)):
-        raise PreconditionError("upstream must be finite")
+    up = check_array("upstream", upstream, batch.blocks.shape)
     parts = _forward_parts(batch, bank, params)
     x, pre, assoc = parts["x"], parts["pre"], parts["assoc"]
 

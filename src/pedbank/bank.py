@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .errors import DimensionError, ParseError, PreconditionError, check_sizes
+from .errors import DimensionError, ParseError, PreconditionError, check_array, check_sizes
 from .hints import HintSet
 from .quantizer import Codebook
 
@@ -35,26 +35,19 @@ class KnowledgeBank:
     version: int = BANK_FORMAT_VERSION
 
     def __post_init__(self):
-        for name in ("f_q", "f_h", "f_k"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         self.validate()
 
     def validate(self) -> None:
-        """Re-check every invariant; also called by ``save_bank``."""
+        """Check every invariant, sizes before arrays; also called by ``save_bank``."""
         if type(self.version) is not int or self.version != BANK_FORMAT_VERSION:
             raise PreconditionError(
                 f"unsupported bank format version {self.version!r} "
                 f"(supported: {BANK_FORMAT_VERSION})"
             )
         check_sizes(n=self.n, dim=self.dim)
-        for name in ("f_q", "f_h", "f_k"):
-            arr = getattr(self, name)
-            if arr.shape != (self.n, self.dim):
-                raise DimensionError(
-                    f"{name} has shape {arr.shape}, expected ({self.n}, {self.dim})"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise PreconditionError(f"{name} must be finite")
+        for name in _MATRICES:
+            arr = check_array(name, getattr(self, name), (self.n, self.dim))
+            object.__setattr__(self, name, arr)
         if not np.array_equal(self.f_k, self.f_q + self.f_h):
             raise PreconditionError(
                 "composed features f_k must equal f_q + f_h exactly"

@@ -6,9 +6,9 @@ Subcommands: ``gen-synthetic`` writes a labeled embedding file,
 ``complement`` runs cross-attention over a feature batch, and
 ``gradcheck`` verifies both backward passes with finite differences.
 
-Exit codes: 0 success, 2 parse/format failure, 3 dimension mismatch,
-4 precondition violation, 5 gradient-check threshold failure, 6 I/O
-failure, 1 any other package error.
+Exit codes: 0 success, 2 parse/format failure or usage error, 3 dimension
+mismatch, 4 precondition violation, 5 gradient-check threshold failure,
+6 I/O failure, 1 any other package error.
 """
 
 from __future__ import annotations
@@ -37,6 +37,17 @@ def _entropy(counts: np.ndarray) -> float:
         return 0.0
     p = counts[counts > 0] / total
     return float(-(p * np.log(p)).sum())
+
+
+def seed_type(text: str) -> int:
+    """The argparse type of every ``--seed``: NumPy seeds are nonnegative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return seed
 
 
 def cmd_gen_synthetic(args) -> int:
@@ -69,7 +80,7 @@ def cmd_build_bank(args) -> int:
             n=args.n, max_iters=args.max_iters, tol=args.tol, seed=args.seed
         ),
     )
-    counts = quantizer.assignment_report(dataset, codebook).counts
+    counts = np.bincount(quantizer.assignment_report(dataset, codebook), minlength=codebook.n)
     del dataset  # the splits hold a copy of every row; keep one copy through training
     hint_set, _, history = hints.train_hints(
         pedestrians,
@@ -108,17 +119,21 @@ def cmd_inspect(args) -> int:
     loaded = bank.load_bank(args.bank)
     dataset = embeddings.parse_embedding_file(args.embeddings, normalize=args.normalize)
     codebook = quantizer.Codebook(n=loaded.n, dim=loaded.dim, centroids=loaded.f_q)
-    report = quantizer.assignment_report(dataset, codebook)
+    assigned = quantizer.assignment_report(dataset, codebook).tolist()
+    counts = np.bincount(assigned, minlength=loaded.n).tolist()
+    groups: dict[str, list[str]] = {str(i): [] for i in range(loaded.n)}
+    for rec_id, i in zip(dataset.ids, assigned):
+        groups[str(i)].append(rec_id)
     print(f"bank {args.bank}: n={loaded.n}, dim={loaded.dim}")
     print(f"records: {len(dataset)}")
-    for i in range(loaded.n):
-        print(f"codeword {i}: {int(report.counts[i])}")
+    for i, count in enumerate(counts):
+        print(f"codeword {i}: {count}")
     groups_out = args.groups_out or f"{args.bank}.groups.json"
     doc = {
         "n": loaded.n,
         "records": len(dataset),
-        "counts": [int(x) for x in report.counts],
-        "groups": {str(i): list(report.groups[i]) for i in range(loaded.n)},
+        "counts": counts,
+        "groups": groups,
     }
     jsonio.write_documents(groups_out, [doc])
     csv_out = args.fk_csv_out or f"{args.bank}.fk.csv"
@@ -182,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synthetic", help="write a synthetic labeled embedding file")
     p.add_argument("out")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_type, default=0)
     p.add_argument("--pedestrians", type=int, default=600)
     p.add_argument("--backgrounds", type=int, default=400)
     p.add_argument("--d", type=int, default=512, help="embedding dimension")
@@ -198,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("embeddings")
     p.add_argument("out")
     p.add_argument("--n", type=int, default=50, help="number of codewords")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_type, default=0)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--hidden", type=int, default=128)
@@ -238,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bank")
     p.add_argument("features")
     p.add_argument("out")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_type, default=0)
     p.add_argument(
         "--params", default=None,
         help="load attention parameters from a file instead of seeding them",
@@ -254,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "gradcheck", help="finite-difference check of both backward passes"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_type, default=0)
     p.add_argument("--tolerance", type=float, default=gradcheck.DEFAULT_TOLERANCE)
     p.add_argument("--inject-sign-error", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)

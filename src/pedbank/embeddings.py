@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .errors import DimensionError, ParseError, PreconditionError, check_sizes
+from .errors import DimensionError, ParseError, PreconditionError, check_array, check_sizes
 
 PEDESTRIAN = "pedestrian"
 BACKGROUND = "background"
@@ -38,16 +38,13 @@ class EmbeddingDataset:
 
     def __post_init__(self):
         ids, labels = tuple(self.ids), tuple(self.labels)
-        try:
-            vectors = np.array(self.vectors, dtype=np.float64)
-        except ValueError as exc:  # rows of different lengths
-            raise DimensionError("vectors must be a (len, dim) number array") from exc
+        vectors = check_array("vectors", self.vectors, (None, None)).copy()
         vectors.flags.writeable = False
         for name, value in (("ids", ids), ("labels", labels), ("vectors", vectors)):
             object.__setattr__(self, name, value)
-        if vectors.ndim != 2 or not len(ids) == len(labels) == vectors.shape[0]:
+        if not len(ids) == len(labels) == vectors.shape[0]:
             raise DimensionError(
-                f"need one id and one label per row of a 2-d vectors array, got "
+                f"need one id and one label per row of vectors, got "
                 f"{len(ids)} ids, {len(labels)} labels and vectors of shape {vectors.shape}"
             )
         if ids and vectors.shape[1] == 0:
@@ -58,8 +55,6 @@ class EmbeddingDataset:
             raise PreconditionError("duplicate record id")
         if not set(labels) <= set(LABELS):
             raise PreconditionError(f"labels must be in {LABELS}")
-        if not np.isfinite(vectors).all():
-            raise PreconditionError("vectors have non-finite coordinates")
 
     @property
     def dim(self) -> int | None:

@@ -92,9 +92,9 @@ def classifier_check(seed: int, negate: str | None = None) -> dict[str, float]:
     for label in (1, 0):
         index = quantize(rng.normal(size=dim), codebook)
         _, cache = forward_classify(index, codebook, hints, clf)
-        grads = backward(cache, label)
+        grads = backward(cache, clf, label)
         hint_grad = np.zeros((n, dim))
-        hint_grad[grads.index] = grads.hint
+        hint_grad[index] = grads.hint
         analytic = {
             "w1": grads.w1,
             "b1": grads.b1,

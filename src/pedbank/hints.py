@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .embeddings import EmbeddingDataset
-from .errors import DimensionError, NumericalError, PreconditionError, check_sizes
+from .errors import DimensionError, NumericalError, PreconditionError, check_array, check_sizes
 from .quantizer import Codebook, route
 
 
@@ -31,14 +31,7 @@ class HintSet:
 
     def __post_init__(self):
         check_sizes(n=self.n, dim=self.dim)
-        mat = np.asarray(self.hints, dtype=np.float64)
-        object.__setattr__(self, "hints", mat)
-        if mat.shape != (self.n, self.dim):
-            raise DimensionError(
-                f"hints shape {mat.shape} does not match (n, dim)=({self.n}, {self.dim})"
-            )
-        if not np.all(np.isfinite(mat)):
-            raise PreconditionError("hints must be finite")
+        object.__setattr__(self, "hints", check_array("hints", self.hints, (self.n, self.dim)))
 
 
 @dataclass
@@ -51,20 +44,12 @@ class ClassifierParams:
     b2: float
 
     def __post_init__(self):
-        self.w1 = np.asarray(self.w1, dtype=np.float64)
-        self.b1 = np.asarray(self.b1, dtype=np.float64)
-        self.w2 = np.asarray(self.w2, dtype=np.float64)
-        self.b2 = float(self.b2)
-        hidden = self.w1.shape[0] if self.w1.ndim == 2 else 0
-        if hidden < 1 or self.b1.shape != (hidden,) or self.w2.shape != (1, hidden):
-            raise DimensionError(
-                "classifier shapes must be w1 (hidden, dim), b1 (hidden,), w2 (1, hidden)"
-            )
-        for arr in (self.w1, self.b1, self.w2):
-            if not np.all(np.isfinite(arr)):
-                raise PreconditionError("classifier parameters must be finite")
-        if not math.isfinite(self.b2):
-            raise PreconditionError("classifier parameters must be finite")
+        self.w1 = check_array("w1", self.w1, (None, None))
+        if self.hidden < 1:
+            raise DimensionError("w1 must have at least one hidden row")
+        self.b1 = check_array("b1", self.b1, (self.hidden,))
+        self.w2 = check_array("w2", self.w2, (1, self.hidden))
+        self.b2 = float(check_array("b2", self.b2))
 
     @property
     def hidden(self) -> int:
@@ -109,8 +94,6 @@ class ForwardCache:
     pre: np.ndarray
     hid: np.ndarray
     logit: float
-    w1: np.ndarray = field(repr=False)
-    w2: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -122,7 +105,6 @@ class ClassifierGrads:
     w2: np.ndarray
     b2: float
     hint: np.ndarray
-    index: int
 
 
 def init_hints(n: int, dim: int, seed: int) -> HintSet:
@@ -162,11 +144,7 @@ def forward_classify(index, codebook: Codebook, hints: HintSet, classifier: Clas
     pre = classifier.w1 @ x + classifier.b1
     hid = np.maximum(pre, 0.0)
     logit = float(classifier.w2[0] @ hid + classifier.b2)
-    cache = ForwardCache(
-        index=index, x=x, pre=pre, hid=hid, logit=logit,
-        w1=classifier.w1, w2=classifier.w2,
-    )
-    return logit, cache
+    return logit, ForwardCache(index=index, x=x, pre=pre, hid=hid, logit=logit)
 
 
 def bce_loss(logit: float, label: int) -> float:
@@ -190,8 +168,8 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def backward(cache: ForwardCache, label: int) -> ClassifierGrads:
-    """Analytic loss gradients at the cached forward pass.
+def backward(cache: ForwardCache, classifier: ClassifierParams, label: int) -> ClassifierGrads:
+    """Analytic loss gradients at the forward pass ``cache`` of ``classifier``.
 
     Covers the classifier parameters and the hint row selected during the
     forward pass; every other hint row receives exactly zero gradient and
@@ -201,13 +179,11 @@ def backward(cache: ForwardCache, label: int) -> ClassifierGrads:
         raise PreconditionError(f"label must be 0 or 1, got {label!r}")
     d_logit = _sigmoid(cache.logit) - float(label)
     d_w2 = (d_logit * cache.hid)[None, :]
-    d_hid = d_logit * cache.w2[0]
+    d_hid = d_logit * classifier.w2[0]
     d_pre = np.where(cache.pre > 0.0, d_hid, 0.0)
     d_w1 = np.outer(d_pre, cache.x)
-    d_hint = cache.w1.T @ d_pre
-    return ClassifierGrads(
-        w1=d_w1, b1=d_pre, w2=d_w2, b2=d_logit, hint=d_hint, index=cache.index
-    )
+    d_hint = classifier.w1.T @ d_pre
+    return ClassifierGrads(w1=d_w1, b1=d_pre, w2=d_w2, b2=d_logit, hint=d_hint)
 
 
 def train_hints(
@@ -256,7 +232,7 @@ def train_hints(
                         f"(label {label}, codeword {cache.index})"
                     )
                 losses.append(bce_loss(logit, label))
-                grads.append(backward(cache, label))
+                grads.append(backward(cache, clf, label))
             total = losses[0] + losses[1]
             if not math.isfinite(total):
                 raise NumericalError(
@@ -268,14 +244,14 @@ def train_hints(
             clf.w2 -= lr * (grads[0].w2 + grads[1].w2)
             clf.b2 = clf.b2 - lr * (grads[0].b2 + grads[1].b2)
             if config.train_hints:
-                hints.hints[grads[0].index] -= lr * grads[0].hint
-                hints.hints[grads[1].index] -= lr * grads[1].hint
+                hints.hints[ped] -= lr * grads[0].hint
+                hints.hints[bg] -= lr * grads[1].hint
             history.append(
                 StepRecord(
                     loss=total,
-                    ped_index=grads[0].index,
+                    ped_index=ped,
                     ped_loss=losses[0],
-                    bg_index=grads[1].index,
+                    bg_index=bg,
                     bg_loss=losses[1],
                 )
             )

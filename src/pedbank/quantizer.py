@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingDataset
-from .errors import DimensionError, PreconditionError, check_sizes
+from .errors import DimensionError, PreconditionError, check_array, check_sizes
 
 
 @dataclass(frozen=True)
@@ -40,33 +40,10 @@ class Codebook:
 
     def __post_init__(self):
         check_sizes(n=self.n, dim=self.dim)
-        cents = np.asarray(self.centroids, dtype=np.float64)
+        cents = check_array("centroids", self.centroids, (self.n, self.dim))
         object.__setattr__(self, "centroids", cents)
-        if cents.shape != (self.n, self.dim):
-            raise DimensionError(
-                f"centroids shape {cents.shape} does not match (n, dim)=({self.n}, {self.dim})"
-            )
-        if not np.all(np.isfinite(cents)):
-            raise PreconditionError("centroids must be finite")
         if np.unique(cents, axis=0).shape[0] != self.n:
             raise PreconditionError("codebook rows must be pairwise distinct")
-
-
-@dataclass(frozen=True)
-class AssignmentReport:
-    """Per-codeword record counts plus the ids grouped under each codeword."""
-
-    counts: np.ndarray
-    groups: dict[int, tuple[str, ...]]
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "counts", counts)
-        if counts.ndim != 1 or len(self.groups) != counts.shape[0]:
-            raise DimensionError("counts and groups must cover the same codewords")
-        for i, group in self.groups.items():
-            if counts[i] != len(group):
-                raise PreconditionError(f"count for codeword {i} does not match its group size")
 
 
 def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -162,24 +139,16 @@ def route(points: np.ndarray, codebook: Codebook) -> np.ndarray:
 
 def quantize(p, codebook: Codebook) -> int:
     """``route`` for a single probe ``p``, after checking its shape and values."""
-    vec = np.asarray(p, dtype=np.float64)
-    if vec.ndim != 1 or vec.shape[0] != codebook.dim:
-        raise DimensionError(f"probe has shape {vec.shape}, expected ({codebook.dim},)")
-    if not np.all(np.isfinite(vec)):
-        raise PreconditionError("probe must be finite")
+    vec = check_array("probe", p, (codebook.dim,))
     return int(route(vec[None, :], codebook)[0])
 
 
-def assignment_report(dataset: EmbeddingDataset, codebook: Codebook) -> AssignmentReport:
-    """Group every record id under its nearest codeword by inner product."""
-    groups: dict[int, list[str]] = {i: [] for i in range(codebook.n)}
-    if len(dataset) > 0:
-        if dataset.dim != codebook.dim:
-            raise DimensionError(
-                f"dataset dimension {dataset.dim} does not match codebook dimension {codebook.dim}"
-            )
-        for rec_id, idx in zip(dataset.ids, route(dataset.vectors, codebook).tolist()):
-            groups[idx].append(rec_id)
-    return AssignmentReport(
-        counts=[len(g) for g in groups.values()], groups={i: tuple(g) for i, g in groups.items()}
-    )
+def assignment_report(dataset: EmbeddingDataset, codebook: Codebook) -> np.ndarray:
+    """The codeword index of every record, in record order, by inner product."""
+    if len(dataset) == 0:
+        return np.zeros(0, dtype=np.intp)
+    if dataset.dim != codebook.dim:
+        raise DimensionError(
+            f"dataset dimension {dataset.dim} does not match codebook dimension {codebook.dim}"
+        )
+    return route(dataset.vectors, codebook)

@@ -45,11 +45,26 @@ def readme_cli_commands():
 
 
 def test_readme_quick_start_runs_with_its_defaults(tmp_path, monkeypatch):
-    # complement is left out: the README does not create its features.json
     commands = readme_cli_commands()
     monkeypatch.chdir(tmp_path)
-    for name in ("gen-synthetic", "build-bank", "inspect"):
+    # the detector's side of complement: the README has it written with save_feature_batch
+    features = np.random.default_rng(0).normal(size=(2, 1, 32))
+    save_feature_batch(FeatureBatch(mode="query", blocks=features), "features.json")
+    for name in ("gen-synthetic", "build-bank", "inspect", "complement"):
         assert main(commands[name]) == EXIT_OK, commands[name]
+
+
+@pytest.mark.parametrize("command", [
+    ["gen-synthetic", "train.jsonl"],
+    ["build-bank", "train.jsonl", "bank.json"],
+    ["complement", "bank.json", "features.json", "out.json"],
+    ["gradcheck"],
+], ids=lambda command: command[0])
+def test_negative_seed_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed: must be a nonnegative integer" in capsys.readouterr().err
 
 
 @pytest.fixture()
@@ -187,16 +202,16 @@ class TestInspect:
 
         loaded = load_bank(built_bank)
         dataset = parse_embedding_file(embeddings_file)
-        report = assignment_report(
+        assigned = assignment_report(
             dataset, Codebook(n=loaded.n, dim=loaded.dim, centroids=loaded.f_q)
         )
         doc = json.loads(groups_out.read_text())
         assert doc["records"] == 200
-        assert doc["counts"] == [int(x) for x in report.counts]
+        assert doc["counts"] == np.bincount(assigned, minlength=loaded.n).tolist()
         assert len(doc["groups"]) == loaded.n
         assert sum(doc["counts"]) == 200
         for i in range(loaded.n):
-            assert doc["groups"][str(i)] == list(report.groups[i])
+            assert doc["groups"][str(i)] == [r for r, a in zip(dataset.ids, assigned) if a == i]
 
         rows = [
             [float(cell) for cell in line.split(",")]

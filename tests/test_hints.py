@@ -163,14 +163,15 @@ class TestBackward:
         hs = HintSet(n=1, dim=1, hints=np.array([[0.0]]))
         clf = scalar_net(w2=0.0)
         _, cache = forward_classify(quantize([1.0], cb), cb, hs, clf)
-        assert backward(cache, 1).b2 == -0.5
-        assert backward(cache, 0).b2 == 0.5
+        assert backward(cache, clf, 1).b2 == -0.5
+        assert backward(cache, clf, 0).b2 == 0.5
 
     def test_zero_w2_blocks_upstream_grads(self):
         cb = Codebook(n=1, dim=1, centroids=np.array([[1.0]]))
         hs = HintSet(n=1, dim=1, hints=np.array([[0.0]]))
-        _, cache = forward_classify(quantize([1.0], cb), cb, hs, scalar_net(w2=0.0))
-        grads = backward(cache, 1)
+        clf = scalar_net(w2=0.0)
+        _, cache = forward_classify(quantize([1.0], cb), cb, hs, clf)
+        grads = backward(cache, clf, 1)
         np.testing.assert_array_equal(grads.w1, np.zeros((1, 1)))
         np.testing.assert_array_equal(grads.hint, np.zeros(1))
 
@@ -181,7 +182,7 @@ class TestBackward:
             w1=np.ones((3, 2)), b1=np.full(3, -1e3), w2=np.ones((1, 3)), b2=0.0
         )
         _, cache = forward_classify(quantize([1.0, 0.0], cb), cb, hs, clf)
-        grads = backward(cache, 1)
+        grads = backward(cache, clf, 1)
         np.testing.assert_array_equal(grads.w1, np.zeros((3, 2)))
         np.testing.assert_array_equal(grads.w2, np.zeros((1, 3)))
         np.testing.assert_array_equal(grads.hint, np.zeros(2))

@@ -6,7 +6,6 @@ import pytest
 
 from pedbank.errors import DimensionError, PreconditionError
 from pedbank.quantizer import (
-    AssignmentReport,
     Codebook,
     KMeansConfig,
     assignment_report,
@@ -166,40 +165,46 @@ class TestCodebook:
             Codebook(n=2, dim=2, centroids=cents)
 
 
+def report(dataset, codebook):
+    """Per-codeword counts and id groups, derived from ``assignment_report``."""
+    assigned = assignment_report(dataset, codebook).tolist()
+    groups = {
+        i: tuple(rec_id for rec_id, a in zip(dataset.ids, assigned) if a == i)
+        for i in range(codebook.n)
+    }
+    return np.bincount(assigned, minlength=codebook.n), groups
+
+
 class TestAssignmentReport:
     def test_counts_and_groups(self):
         cb = Codebook(n=3, dim=2, centroids=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]))
         ds = make_dataset([[2.0, 0.1], [3.0, 0.0], [0.0, 5.0]])
-        rep = assignment_report(ds, cb)
-        np.testing.assert_array_equal(rep.counts, [2, 1, 0])
-        assert rep.groups[0] == ("r0", "r1")
-        assert rep.groups[1] == ("r2",)
-        assert rep.groups[2] == ()
+        counts, groups = report(ds, cb)
+        np.testing.assert_array_equal(counts, [2, 1, 0])
+        assert groups[0] == ("r0", "r1")
+        assert groups[1] == ("r2",)
+        assert groups[2] == ()
 
     def test_empty_dataset_all_zero(self):
         cb = Codebook(n=4, dim=3, centroids=np.random.default_rng(0).normal(size=(4, 3)))
-        rep = assignment_report(make_dataset([]), cb)
-        np.testing.assert_array_equal(rep.counts, np.zeros(4, dtype=np.int64))
-        assert all(rep.groups[i] == () for i in range(4))
+        counts, groups = report(make_dataset([]), cb)
+        np.testing.assert_array_equal(counts, np.zeros(4, dtype=np.int64))
+        assert all(groups[i] == () for i in range(4))
 
     def test_matches_per_record_quantize(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(300, 16))
         ds = make_dataset(pts)
         cb = kmeans(ds, KMeansConfig(n=10, seed=5))
-        rep = assignment_report(ds, cb)
-        assert int(rep.counts.sum()) == 300
+        counts, groups = report(ds, cb)
+        assert int(counts.sum()) == 300
         for rec_id, vector in zip(ds.ids, ds.vectors):
             idx = quantize(vector, cb)
-            assert rec_id in rep.groups[idx]
+            assert rec_id in groups[idx]
         for i in range(10):
-            assert int(rep.counts[i]) == len(rep.groups[i])
+            assert int(counts[i]) == len(groups[i])
 
     def test_dimension_mismatch(self):
         cb = Codebook(n=2, dim=2, centroids=np.eye(2))
         with pytest.raises(DimensionError):
             assignment_report(make_dataset([[1.0, 2.0, 3.0]]), cb)
-
-    def test_report_invariant_enforced(self):
-        with pytest.raises(PreconditionError):
-            AssignmentReport(counts=np.array([2]), groups={0: ("a",)})
