@@ -11,6 +11,7 @@ verified against central finite differences.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
     PreconditionError,
     check_array,
     check_sizes,
+    owned_readonly,
 )
 
 PROPOSAL = "proposal"
@@ -83,7 +85,8 @@ def param_shapes(heads: int, d_model: int, c: int, d: int) -> dict[str, tuple[in
 @dataclass(frozen=True)
 class AttentionParams:
     """Per-head projections, the shared output projection, and the
-    layer-norm affine."""
+    layer-norm affine, each kept as an owned read-only float64 array
+    (``errors.owned_readonly``)."""
 
     heads: int
     d_model: int
@@ -103,7 +106,8 @@ class AttentionParams:
             shape = (self.heads, None, self.d_model)
             object.__setattr__(self, name, check_array(name, getattr(self, name), shape))
         for name, shape in param_shapes(self.heads, self.d_model, self.c, self.d).items():
-            object.__setattr__(self, name, check_array(name, getattr(self, name), shape))
+            arr = check_array(name, getattr(self, name), shape)
+            object.__setattr__(self, name, owned_readonly(arr))
 
     @property
     def c(self) -> int:
@@ -150,10 +154,11 @@ def init_attention(
     w_k = rng.normal(0.0, 1.0 / np.sqrt(d), size=(heads, d, d_m))
     w_v = rng.normal(0.0, 1.0 / np.sqrt(d), size=(heads, d, d_m))
     w_o = rng.normal(0.0, 1.0 / np.sqrt(heads * d_m), size=(heads * d_m, c))
-    return AttentionParams(
-        heads=heads, d_model=d_m, w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o,
-        gain=np.ones(c), bias=np.zeros(c), eps=eps,
-    )
+    arrays = {"w_q": w_q, "w_k": w_k, "w_v": w_v, "w_o": w_o,
+              "gain": np.ones(c), "bias": np.zeros(c)}
+    for arr in arrays.values():
+        arr.flags.writeable = False  # handed over, so the params keep them without a copy
+    return AttentionParams(heads=heads, d_model=d_m, eps=eps, **arrays)
 
 
 def layer_norm(rows, gain, bias, eps: float = 1e-5) -> np.ndarray:
@@ -193,13 +198,46 @@ def _check_compatible(batch: FeatureBatch, bank: KnowledgeBank, params: Attentio
         )
 
 
+# The projection of the last (bank, params) pair: (bank_ref, params_ref,
+# (k, v, w_q)). Both classes keep read-only arrays, so a projection cannot go
+# stale while its pair lives. The entry is keyed on the objects through weak
+# references: it keeps neither alive, and unlike an ``id`` (reused once its
+# object dies) or a content hash (which reads every weight on every call) a
+# dead reference never matches. It is read and replaced as one tuple, so
+# concurrent callers never mix the keys of one entry with another's arrays.
+_projection = None
+
+
+def _forget(ref) -> None:
+    """Weakref callback: drop the entry once its bank or its params die."""
+    global _projection
+    entry = _projection
+    if entry is not None and (entry[0] is ref or entry[1] is ref):
+        _projection = None
+
+
+def _project(bank: KnowledgeBank, params: AttentionParams):
+    """The bank keys ``k`` and values ``v``, each ``(heads, n, d_m)``, and
+    ``w_q`` with its heads side by side, computed once per (bank, params)."""
+    global _projection
+    entry = _projection
+    if entry is not None and entry[0]() is bank and entry[1]() is params:
+        return entry[2]
+    k = bank.f_k @ params.w_k
+    v = bank.f_k @ params.w_v
+    w_q = params.w_q.transpose(1, 0, 2).reshape(params.c, -1)
+    projection = (k, v, w_q)
+    for arr in projection:
+        arr.flags.writeable = False
+    _projection = (weakref.ref(bank, _forget), weakref.ref(params, _forget), projection)
+    return projection
+
+
 def _forward_parts(batch: FeatureBatch, bank: KnowledgeBank, params: AttentionParams) -> dict:
     _check_compatible(batch, bank, params)
     x = batch.blocks.reshape(-1, batch.c)  # (M, c): every row of every block
     scale = 1.0 / math.sqrt(params.d_model)
-    k = bank.f_k @ params.w_k  # (heads, n, d_m)
-    v = bank.f_k @ params.w_v
-    w_q = params.w_q.transpose(1, 0, 2).reshape(batch.c, -1)  # heads side by side
+    k, v, w_q = _project(bank, params)
     q = (x @ w_q).reshape(len(x), params.heads, -1).transpose(1, 0, 2)  # (heads, M, d_m)
     assoc = q @ k.transpose(0, 2, 1)  # scores (heads, M, n), made the association in place
     assoc *= scale
@@ -322,5 +360,7 @@ def load_attention_params(path) -> AttentionParams:
         key: jsonio.read_array(doc, key, path, shape)
         for key, shape in param_shapes(heads, d_model, c, d).items()
     }
+    for arr in arrays.values():
+        arr.flags.writeable = False  # handed over, so the params keep them without a copy
     eps = float(jsonio.read_array(doc, "eps", path, ()))
     return AttentionParams(heads=heads, d_model=d_model, eps=eps, **arrays)

@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .errors import DimensionError, ParseError, PreconditionError, check_array, check_sizes
+from .errors import (
+    DimensionError,
+    ParseError,
+    PreconditionError,
+    check_array,
+    check_sizes,
+    owned_readonly,
+)
 from .hints import HintSet
 from .quantizer import Codebook
 
@@ -24,7 +31,11 @@ _MATRICES = ("f_q", "f_h", "f_k")
 @dataclass(frozen=True)
 class KnowledgeBank:
     """Versioned container for the quantized codewords ``f_q``, the learned
-    hints ``f_h``, and the composed features ``f_k``."""
+    hints ``f_h``, and the composed features ``f_k``.
+
+    The bank keeps its own read-only float64 arrays (``errors.owned_readonly``),
+    so once built it never changes.
+    """
 
     n: int
     dim: int
@@ -47,7 +58,7 @@ class KnowledgeBank:
         check_sizes(n=self.n, dim=self.dim)
         for name in _MATRICES:
             arr = check_array(name, getattr(self, name), (self.n, self.dim))
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, owned_readonly(arr))
         if not np.array_equal(self.f_k, self.f_q + self.f_h):
             raise PreconditionError(
                 "composed features f_k must equal f_q + f_h exactly"
@@ -65,8 +76,7 @@ def assemble_bank(codebook: Codebook, hints: HintSet, meta: dict[str, str]) -> K
             f"codebook (n, dim)=({codebook.n}, {codebook.dim}) does not match "
             f"hints ({hints.n}, {hints.dim})"
         )
-    f_q = codebook.centroids.copy()
-    f_h = hints.hints.copy()
+    f_q, f_h = codebook.centroids, hints.hints
     return KnowledgeBank(
         n=codebook.n, dim=codebook.dim, f_q=f_q, f_h=f_h, f_k=f_q + f_h, meta=dict(meta)
     )
@@ -87,6 +97,8 @@ def load_bank(path) -> KnowledgeBank:
     version = jsonio.read_version(doc, path, BANK_FORMAT_VERSION, "bank format")
     n, dim = jsonio.read_size(doc, "n", path), jsonio.read_size(doc, "dim", path)
     matrices = {key: jsonio.read_array(doc, key, path, (n, dim)) for key in _MATRICES}
+    for arr in matrices.values():
+        arr.flags.writeable = False  # handed over, so the bank keeps them without a copy
     meta = doc["meta"]
     if not isinstance(meta, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in meta.items()

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and the one size rule and
-the one array rule that every constructor applies to its inputs."""
+"""Exception hierarchy shared across the package, the one size rule and
+the one array rule that every constructor applies to its inputs, and the
+ownership rule of the classes that keep read-only arrays."""
 
 import numpy as np
 
@@ -35,7 +36,8 @@ def check_array(name: str, value, shape: tuple = ()) -> np.ndarray:
     any length on that axis.
 
     Ints and floats are numbers; strings, bools, objects and complex values
-    are not (``PreconditionError``). Ragged nesting or a wrong rank or length
+    are not (``PreconditionError``), also where NumPy would promote a bool
+    mixed into a list of numbers. Ragged nesting or a wrong rank or length
     is a ``DimensionError``. A float64 array comes back as it is, not copied.
     """
     try:
@@ -44,10 +46,27 @@ def check_array(name: str, value, shape: tuple = ()) -> np.ndarray:
         raise DimensionError(f"{name} must be a rectangular array") from exc
     if arr.dtype.kind not in "iuf":
         raise PreconditionError(f"{name} must hold int or float numbers, got dtype {arr.dtype}")
+    if not isinstance(value, np.ndarray) and any(
+        isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat
+    ):
+        raise PreconditionError(f"{name} must hold int or float numbers, got a bool")
     if arr.ndim != len(shape) or any(w not in (None, n) for w, n in zip(shape, arr.shape)):
         expected = ", ".join("any" if w is None else str(w) for w in shape)
         raise DimensionError(f"{name} must have shape ({expected}), got {arr.shape}")
     arr = arr.astype(np.float64, copy=False)
     if not np.isfinite(arr).all():
         raise PreconditionError(f"{name} must be finite")
+    return arr
+
+
+def owned_readonly(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if it is read-only and owns its data, else a copy; either way
+    marked read-only, so no caller's later write can change it.
+
+    Code that creates an array and hands it straight to a class marks it
+    read-only first, and nothing is copied.
+    """
+    if arr.flags.writeable or arr.base is not None:
+        arr = arr.copy(order="K")  # same memory layout, so the same BLAS arithmetic
+    arr.flags.writeable = False
     return arr

@@ -6,7 +6,7 @@ import pytest
 from pedbank.attention import AttentionParams, FeatureBatch, attention_gradients, init_attention
 from pedbank.bank import KnowledgeBank
 from pedbank.embeddings import PEDESTRIAN, EmbeddingDataset
-from pedbank.errors import DimensionError, PreconditionError, check_array
+from pedbank.errors import DimensionError, PreconditionError, check_array, owned_readonly
 from pedbank.hints import ClassifierParams, HintSet
 from pedbank.quantizer import Codebook, quantize
 
@@ -14,7 +14,7 @@ PARAMS = init_attention(c=2, d=2, d_m=1, heads=1, seed=0)
 PARAM_ARRAYS = {
     name: getattr(PARAMS, name) for name in ("w_q", "w_k", "w_v", "w_o", "gain", "bias")
 }
-CLASSIFIER = {"w1": [[1.0, 2.0]], "b1": [0.5], "w2": [[1.0]], "b2": 0.5}
+CLASSIFIER = {"w1": [[1.0, 2.0], [3.0, 4.0]], "b1": [0.5, -0.5], "w2": [[1.0, -1.0]], "b2": 0.5}
 BANK = {"f_q": [[1.0, 2.0]], "f_h": [[0.0, 0.5]], "f_k": [[1.0, 2.5]]}
 QUERY = FeatureBatch("query", [[[3.0, 4.0]]])
 ONE_ROW_BANK = KnowledgeBank(n=1, dim=2, **BANK)
@@ -72,6 +72,19 @@ def as_bools(valid):
     return (np.asarray(valid, dtype=np.float64) != 0).tolist()
 
 
+def mixed_bool(valid):
+    """The valid value with its first number replaced by ``True``; NumPy alone
+    would promote the list to float64. A scalar site has nothing to mix with."""
+    rows = np.asarray(valid, dtype=np.float64).tolist()
+    if not isinstance(rows, list):
+        return True
+    first = rows
+    while isinstance(first[0], list):
+        first = first[0]
+    first[0] = True
+    return rows
+
+
 def ragged(valid):
     return [[0.0], [0.0, 0.0]]  # whatever shape the site wants, rows of two lengths are not one
 
@@ -85,6 +98,7 @@ def with_nan(valid):
 BAD_VALUES = {
     "string": (as_strings, PreconditionError, "int or float"),
     "bool": (as_bools, PreconditionError, "int or float"),
+    "mixed bool": (mixed_bool, PreconditionError, "int or float"),
     "ragged": (ragged, DimensionError, "rectangular"),
     "nan": (with_nan, PreconditionError, "must be finite"),
 }
@@ -111,3 +125,27 @@ def test_float64_input_is_kept_and_ints_are_converted():
     converted = check_array("a", [[1, 2, 3]], (None, 3))
     assert converted.dtype == np.float64 and converted.tolist() == [[1.0, 2.0, 3.0]]
 
+
+
+def test_bool_scan_also_finds_bools_inside_nested_arrays():
+    with pytest.raises(PreconditionError, match="got a bool"):
+        check_array("a", [np.array([True, False]), np.array([1.0, 2.0])], (2, 2))
+    with pytest.raises(PreconditionError, match="got a bool"):
+        check_array("a", [[np.True_, 2.5]], (1, 2))
+
+
+def test_owned_readonly_copies_only_what_a_caller_could_still_write():
+    handed_over = np.ones((2, 3))
+    handed_over.flags.writeable = False
+    assert owned_readonly(handed_over) is handed_over
+
+    writable = np.ones((2, 3))
+    kept = owned_readonly(writable)
+    assert kept is not writable and not kept.flags.writeable and kept.base is None
+    writable[0, 0] = 5.0
+    assert kept[0, 0] == 1.0
+
+    view = handed_over[:, :2]  # read-only, but its data belongs to another array
+    kept_view = owned_readonly(view)
+    assert kept_view is not view and kept_view.base is None
+    np.testing.assert_array_equal(kept_view, view)

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pedbank import attention
 from pedbank.attention import (
     ATTENTION_PARAMS_VERSION,
     AttentionParams,
@@ -228,6 +231,120 @@ class TestForward:
         other = random_bank(seed=1, n=4, dim=6)
         with pytest.raises(DimensionError):
             cross_attend(batch, other, params)
+
+
+PARAM_NAMES = ("w_q", "w_k", "w_v", "w_o", "gain", "bias")
+
+
+def cold(fn, *args):
+    """``fn(*args)`` with no bank projection remembered from an earlier call."""
+    attention._projection = None
+    return fn(*args)
+
+
+def assert_same_grads(got, want):
+    for name in PARAM_NAMES:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+class TestProjectionMemo:
+    """The bank K/V projection is computed once per (bank, params) pair and
+    changes no bit of any result."""
+
+    def test_a_repeated_pair_reuses_its_projection(self):
+        _, bank, params = small_setup()
+        first = cold(attention._project, bank, params)
+        assert attention._project(bank, params) is first
+        assert attention._project(bank, replace(params)) is not first
+        for arr in first:
+            assert not arr.flags.writeable
+
+    def test_warm_calls_repeat_the_cold_bits(self):
+        batch, bank, params = small_setup()
+        upstream = np.random.default_rng(30).normal(size=batch.blocks.shape)
+        out_cold, trace_cold = cold(cross_attend, batch, bank, params)
+        grads_cold = cold(attention_gradients, batch, bank, params, upstream)
+        cross_attend(batch, bank, params)
+        out_warm, trace_warm = cross_attend(batch, bank, params)
+        grads_warm = attention_gradients(batch, bank, params, upstream)
+        np.testing.assert_array_equal(out_warm.blocks, out_cold.blocks)
+        np.testing.assert_array_equal(trace_warm.assoc, trace_cold.assoc)
+        np.testing.assert_array_equal(trace_warm.pre_norm, trace_cold.pre_norm)
+        assert_same_grads(grads_warm, grads_cold)
+
+    def test_another_bank_or_params_gets_its_own_projection(self):
+        batch, bank, params = small_setup()
+        upstream = np.random.default_rng(31).normal(size=batch.blocks.shape)
+        other_bank = random_bank(seed=77, n=bank.n, dim=bank.dim)
+        other_params = replace(params, w_k=params.w_v, w_v=params.w_k)
+        for pair in ((other_bank, params), (bank, other_params)):
+            want_out, _ = cold(cross_attend, batch, *pair)
+            want_grads = cold(attention_gradients, batch, *pair, upstream)
+            cold(cross_attend, batch, bank, params)  # remember the first pair
+            got_out, _ = cross_attend(batch, *pair)
+            cold(cross_attend, batch, bank, params)
+            got_grads = attention_gradients(batch, *pair, upstream)
+            np.testing.assert_array_equal(got_out.blocks, want_out.blocks)
+            assert_same_grads(got_grads, want_grads)
+
+    def test_params_that_reuse_a_dead_objects_address_are_projected_afresh(self):
+        batch, bank, params = small_setup()
+        swapped = {"w_k": params.w_v, "w_v": params.w_k}
+        want = [cold(cross_attend, batch, bank, replace(params, **kw))[0] for kw in ({}, swapped)]
+        attention._projection = None
+        for i in range(8):  # CPython tends to put each new object where the last one died
+            out, _ = cross_attend(batch, bank, replace(params, **(swapped if i % 2 else {})))
+            np.testing.assert_array_equal(out.blocks, want[i % 2].blocks)
+
+    def test_query_equals_unit_proposal_bitwise_with_a_warm_projection(self):
+        rng = np.random.default_rng(16)
+        bank = random_bank(seed=16, n=6, dim=10)
+        params = init_attention(c=12, d=10, d_m=4, heads=2, seed=16)
+        data = rng.normal(size=(5, 12))
+        unit = FeatureBatch(mode="proposal", blocks=data.reshape(5, 1, 1, 12))
+        out_cold, _ = cold(cross_attend, unit, bank, params)
+        query = FeatureBatch(mode="query", blocks=data.reshape(5, 1, 12))
+        out_q, _ = cross_attend(query, bank, params)
+        out_p, _ = cross_attend(unit, bank, params)
+        np.testing.assert_array_equal(out_q.blocks.reshape(5, 12), out_cold.blocks.reshape(5, 12))
+        np.testing.assert_array_equal(out_p.blocks, out_cold.blocks)
+
+    def test_the_memo_keeps_no_bank_or_params_alive(self):
+        batch, bank, params = small_setup()
+        cross_attend(batch, bank, params)
+        refs = weakref.ref(bank), weakref.ref(params)
+        del bank, params
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert attention._projection is None
+
+    def test_bank_and_params_arrays_are_read_only(self):
+        _, bank, params = small_setup()
+        arrays = [getattr(bank, name) for name in ("f_q", "f_h", "f_k")]
+        arrays += [getattr(params, name) for name in PARAM_NAMES]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2.0
+
+    def test_later_writes_to_the_callers_arrays_do_not_show_through(self):
+        batch, bank, params = small_setup()
+        given = {name: np.array(getattr(params, name)) for name in PARAM_NAMES}
+        mine = AttentionParams(heads=params.heads, d_model=params.d_model, **given)
+        out_before, _ = cross_attend(batch, bank, mine)
+        for arr in given.values():
+            arr += 1.0
+        for name in given:
+            np.testing.assert_array_equal(getattr(mine, name), getattr(params, name))
+        out_after, _ = cross_attend(batch, bank, mine)
+        np.testing.assert_array_equal(out_after.blocks, out_before.blocks)
+
+    def test_handed_over_read_only_arrays_are_not_copied(self):
+        _, _, params = small_setup()
+        again = replace(params, w_o=np.zeros_like(params.w_o))
+        assert again.w_q is params.w_q and again.w_k is params.w_k
+        assert again.w_o is not params.w_o and not again.w_o.flags.writeable
 
 
 class TestGradients:

@@ -32,6 +32,18 @@ class TestAssemble:
             for j in range(5):
                 assert composed[i, j] == cb.centroids[i, j] + hs.hints[i, j]
 
+    def test_bank_keeps_its_own_codewords_and_hints(self):
+        rng = np.random.default_rng(14)
+        cb = Codebook(n=3, dim=4, centroids=rng.normal(size=(3, 4)))
+        hs = HintSet(n=3, dim=4, hints=rng.normal(scale=0.01, size=(3, 4)))
+        bank = assemble_bank(cb, hs, meta={})
+        f_q, f_h = cb.centroids.copy(), hs.hints.copy()
+        cb.centroids[0] += 1.0  # train_hints updates hints.hints in place like this
+        hs.hints[0] += 1.0
+        np.testing.assert_array_equal(bank.f_q, f_q)
+        np.testing.assert_array_equal(bank.f_h, f_h)
+        bank.validate()
+
     def test_zero_hints_compose_to_codewords(self):
         cb = Codebook(n=2, dim=2, centroids=np.eye(2))
         hs = HintSet(n=2, dim=2, hints=np.zeros((2, 2)))
@@ -106,11 +118,26 @@ class TestRoundTrip:
         save_bank(bank, second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_save_revalidates_mutated_arrays(self, tmp_path):
+    def test_arrays_are_read_only_so_saves_keep_their_bytes(self, tmp_path):
         bank = random_bank(seed=6, n=3, dim=4)
-        bank.f_k[1, 2] += 0.5
-        with pytest.raises(PreconditionError):
-            save_bank(bank, tmp_path / "bad.json")
+        save_bank(bank, tmp_path / "before.json")
+        for name in ("f_q", "f_h", "f_k"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(bank, name)[1, 2] += 0.5
+        save_bank(bank, tmp_path / "after.json")
+        assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+
+    def test_later_writes_to_the_callers_arrays_do_not_show_through(self):
+        rng = np.random.default_rng(6)
+        f_q, f_h = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        f_k = f_q + f_h
+        bank = KnowledgeBank(n=3, dim=4, f_q=f_q, f_h=f_h, f_k=f_k, meta={})
+        before = [arr.copy() for arr in (f_q, f_h, f_k)]
+        for arr in (f_q, f_h, f_k):
+            arr += 1.0
+        for name, want in zip(("f_q", "f_h", "f_k"), before):
+            np.testing.assert_array_equal(getattr(bank, name), want)
+        bank.validate()
 
 
 class TestLoadRejections:
