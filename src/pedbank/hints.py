@@ -98,13 +98,23 @@ class ForwardCache:
 
 @dataclass(frozen=True)
 class ClassifierGrads:
-    """Loss gradients for the classifier and the selected hint row."""
+    """Loss gradients for the classifier and the selected hint row.
 
-    w1: np.ndarray
+    The ``w1`` gradient has rank one, ``outer(b1, x)``: ``b1`` is the
+    gradient at the hidden pre-activations (zero on dead rows) and ``x`` the
+    composed input of the forward pass. It is kept in that factored form;
+    the ``w1`` property builds the dense matrix on demand.
+    """
+
+    x: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: float
     hint: np.ndarray
+
+    @property
+    def w1(self) -> np.ndarray:
+        return np.outer(self.b1, self.x)
 
 
 def init_hints(n: int, dim: int, seed: int) -> HintSet:
@@ -173,7 +183,8 @@ def backward(cache: ForwardCache, classifier: ClassifierParams, label: int) -> C
 
     Covers the classifier parameters and the hint row selected during the
     forward pass; every other hint row receives exactly zero gradient and
-    the codebook receives none.
+    the codebook receives none. The ``w1`` gradient stays factored as
+    ``(b1, x)`` and is not formed here.
     """
     if label not in (0, 1):
         raise PreconditionError(f"label must be 0 or 1, got {label!r}")
@@ -181,9 +192,8 @@ def backward(cache: ForwardCache, classifier: ClassifierParams, label: int) -> C
     d_w2 = (d_logit * cache.hid)[None, :]
     d_hid = d_logit * classifier.w2[0]
     d_pre = np.where(cache.pre > 0.0, d_hid, 0.0)
-    d_w1 = np.outer(d_pre, cache.x)
     d_hint = classifier.w1.T @ d_pre
-    return ClassifierGrads(w1=d_w1, b1=d_pre, w2=d_w2, b2=d_logit, hint=d_hint)
+    return ClassifierGrads(x=cache.x, b1=d_pre, w2=d_w2, b2=d_logit, hint=d_hint)
 
 
 def train_hints(
@@ -201,7 +211,9 @@ def train_hints(
     uniformly drawn embedding of each label, sums the two gradients, and
     applies one update to the classifier and, when ``config.train_hints`` is
     set, to the selected hint rows. With it unset the returned hints equal
-    their initialization exactly.
+    their initialization exactly. The two rank-one ``w1`` gradients are
+    applied together as one ``(hidden, 2) @ (2, dim)`` product, so no step
+    forms a dense ``w1`` gradient.
     """
     if len(pedestrians) == 0 or len(backgrounds) == 0:
         raise PreconditionError("hint training requires records of both labels")
@@ -239,13 +251,14 @@ def train_hints(
                     f"non-finite loss at step {step} "
                     f"(pedestrian loss {losses[0]}, background loss {losses[1]})"
                 )
-            clf.w1 -= lr * (grads[0].w1 + grads[1].w1)
-            clf.b1 -= lr * (grads[0].b1 + grads[1].b1)
-            clf.w2 -= lr * (grads[0].w2 + grads[1].w2)
-            clf.b2 = clf.b2 - lr * (grads[0].b2 + grads[1].b2)
+            g0, g1 = grads
+            clf.w1 -= (lr * np.array([g0.b1, g1.b1]).T) @ np.array([g0.x, g1.x])
+            clf.b1 -= lr * (g0.b1 + g1.b1)
+            clf.w2 -= lr * (g0.w2 + g1.w2)
+            clf.b2 = clf.b2 - lr * (g0.b2 + g1.b2)
             if config.train_hints:
-                hints.hints[ped] -= lr * grads[0].hint
-                hints.hints[bg] -= lr * grads[1].hint
+                hints.hints[ped] -= lr * g0.hint
+                hints.hints[bg] -= lr * g1.hint
             history.append(
                 StepRecord(
                     loss=total,

@@ -18,6 +18,7 @@ from pedbank.gradcheck import classifier_check
 from pedbank.hints import (
     ClassifierParams,
     HintSet,
+    StepRecord,
     TrainConfig,
     backward,
     bce_loss,
@@ -27,7 +28,7 @@ from pedbank.hints import (
     train_hints,
     write_history,
 )
-from pedbank.quantizer import Codebook, KMeansConfig, kmeans, quantize
+from pedbank.quantizer import Codebook, KMeansConfig, kmeans, quantize, route
 
 from support import make_dataset
 
@@ -188,6 +189,17 @@ class TestBackward:
         np.testing.assert_array_equal(grads.hint, np.zeros(2))
         assert grads.b2 != 0.0
 
+    def test_w1_gradient_is_the_outer_product_of_b1_and_x(self):
+        rng = np.random.default_rng(23)
+        n, dim, hidden = 3, 8, 16
+        cb = Codebook(n=n, dim=dim, centroids=rng.normal(size=(n, dim)))
+        hs = HintSet(n=n, dim=dim, hints=rng.normal(scale=0.1, size=(n, dim)))
+        clf = init_classifier(dim, hidden, seed=23)
+        _, cache = forward_classify(quantize(rng.normal(size=dim), cb), cb, hs, clf)
+        for label in (1, 0):
+            grads = backward(cache, clf, label)
+            np.testing.assert_array_equal(grads.w1, np.outer(grads.b1, cache.x))
+
     def test_matches_central_finite_differences(self):
         errors = classifier_check(seed=21)
         assert max(errors.values()) < 1e-6, errors
@@ -278,7 +290,9 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_divergence_aborts_with_step(self, separable):
         peds, bgs, codebook = separable
-        with pytest.raises(NumericalError, match="step"):
+        with pytest.raises(
+            NumericalError, match=r"^non-finite logit at step 1 \(label 1, codeword 2\)$"
+        ):
             train_hints(peds, bgs, codebook, TrainConfig(lr=1e308, steps=50, seed=0))
 
     def test_config_validation(self):
@@ -292,14 +306,14 @@ class TestTrain:
 # (little-endian float64) of two seeded runs; training must stay bit-identical.
 GOLDEN_TRAINING = {
     "separable": {
-        "history": "1ad039b36b2d2af60eea32e706390483830d92fd6e1c90aa7fad6e9feda6a933",
-        "hints": "46403e712fa97777b40d6f173cc4ab38a6ad15a4dd0100cdcc859fbd9171e00e",
-        "classifier": "7b0414c7a1f3767bd877e3e707c4490fe5ef69ccf512fb6808f2581885e080eb",
+        "history": "0dbf697b8d9706aebb52a8cde69aeb2a5e52d6b8c9f38075ab51d20f907f815e",
+        "hints": "58f386caceea7d56908d6ca8390f9d94d2c41d2c1b93c6ba2391b98c61d44b69",
+        "classifier": "d4c72aa900e3544d439cc03393cbcb2a911922157f095f1f431e31c52afa3271",
     },
     "normalized": {
-        "history": "f5bd54e5c664c21dec8b9be9a42db450a0d541aff55cc27ae61bd1a946de57db",
-        "hints": "bc7be6a05908a7998e7aa8374d9b935f710be6b49e8b7d8c2ab89fc2f2eda7c6",
-        "classifier": "cc9b0c82a91de23065b01fea601c9c60687d9f30c0c386d760a3ed0bd8b2e96c",
+        "history": "83863286c7e14f478fa656d80106255954c5ac739ee9ec5598ebaa76dbd58028",
+        "hints": "0af0623e01785af9a74192f3211430cc93dd17d8bb4e28a9e5ea40681739f0ff",
+        "classifier": "e82d0b90907aa1a4ee01669a22bd9efd47898a7873f2c95f2d6c2204a619f700",
     },
 }
 
@@ -350,3 +364,95 @@ def test_write_history_json_lines(tmp_path):
         ped_line, bg_line = lines[2 * step], lines[2 * step + 1]
         assert ped_line == {"step": step, "loss": rec.ped_loss, "selected": rec.ped_index, "label": 1}
         assert bg_line == {"step": step, "loss": rec.bg_loss, "selected": rec.bg_index, "label": 0}
+
+
+def reference_train(pedestrians, backgrounds, codebook, config):
+    """``train_hints`` as it was before the rank-2 ``w1`` update.
+
+    Same initializations, routing and sample draws; each sample's dense
+    ``w1`` gradient is formed with ``np.outer``, the two are summed, scaled
+    and subtracted.
+    """
+    hints = init_hints(codebook.n, codebook.dim, config.seed)
+    clf = init_classifier(codebook.dim, config.hidden, config.seed + 1)
+    rng = np.random.default_rng(config.seed + 2)
+    ped_routes = route(pedestrians.vectors, codebook).tolist()
+    bg_routes = route(backgrounds.vectors, codebook).tolist()
+    history = []
+    lr = config.lr
+    for _ in range(config.steps):
+        ped = ped_routes[int(rng.integers(len(ped_routes)))]
+        bg = bg_routes[int(rng.integers(len(bg_routes)))]
+        losses, grads = [], []
+        for index, label in ((ped, 1), (bg, 0)):
+            logit, cache = forward_classify(index, codebook, hints, clf)
+            losses.append(bce_loss(logit, label))
+            grads.append(backward(cache, clf, label))
+        g0, g1 = grads
+        clf.w1 -= lr * (np.outer(g0.b1, g0.x) + np.outer(g1.b1, g1.x))
+        clf.b1 -= lr * (g0.b1 + g1.b1)
+        clf.w2 -= lr * (g0.w2 + g1.w2)
+        clf.b2 = clf.b2 - lr * (g0.b2 + g1.b2)
+        hints.hints[ped] -= lr * g0.hint
+        hints.hints[bg] -= lr * g1.hint
+        history.append(
+            StepRecord(
+                loss=losses[0] + losses[1],
+                ped_index=ped,
+                ped_loss=losses[0],
+                bg_index=bg,
+                bg_loss=losses[1],
+            )
+        )
+    return hints, clf, history
+
+
+def normalized_fixture():
+    """The ``normalized`` run of ``test_training_matches_golden_digests``."""
+    raw = generate_synthetic(seed=5, pedestrians=300, backgrounds=200, dim=64, separation=8.0)
+    normalized = EmbeddingDataset(
+        ids=raw.ids, labels=raw.labels, vectors=[l2_normalize(vector) for vector in raw.vectors]
+    )
+    peds, bgs = split_by_label(normalized)
+    codebook = kmeans(peds, KMeansConfig(n=8, seed=5))
+    return peds, bgs, codebook, TrainConfig(lr=0.1, steps=500, seed=5, hidden=32)
+
+
+@pytest.mark.parametrize("case", ["separable", "normalized"])
+def test_rank_two_update_tracks_the_outer_product_reference(separable, case):
+    if case == "separable":
+        peds, bgs, codebook = separable
+        config = TrainConfig(lr=0.1, steps=500, seed=2)
+    else:
+        peds, bgs, codebook, config = normalized_fixture()
+    hint_set, clf, history = train_hints(peds, bgs, codebook, config)
+    ref_hints, ref_clf, ref_history = reference_train(peds, bgs, codebook, config)
+    assert [(r.ped_index, r.bg_index) for r in history] == [
+        (r.ped_index, r.bg_index) for r in ref_history
+    ]
+    for field in ("loss", "ped_loss", "bg_loss"):
+        np.testing.assert_allclose(
+            [getattr(r, field) for r in history],
+            [getattr(r, field) for r in ref_history],
+            rtol=0,
+            atol=1e-12,
+        )
+    np.testing.assert_allclose(hint_set.hints, ref_hints.hints, rtol=0, atol=1e-12)
+    for name in ("w1", "b1", "w2", "b2"):
+        np.testing.assert_allclose(getattr(clf, name), getattr(ref_clf, name), rtol=0, atol=1e-12)
+
+
+def test_rank_two_product_equals_summed_outer_products(separable):
+    peds, bgs, codebook = separable
+    hints = init_hints(codebook.n, codebook.dim, seed=2)
+    clf = init_classifier(codebook.dim, 128, seed=3)
+    lr = 0.1
+    grads = []
+    for ds, label in ((peds, 1), (bgs, 0)):
+        _, cache = forward_classify(int(route(ds.vectors[:1], codebook)[0]), codebook, hints, clf)
+        grads.append(backward(cache, clf, label))
+    g0, g1 = grads
+    product = (lr * np.array([g0.b1, g1.b1]).T) @ np.array([g0.x, g1.x])
+    dense = lr * (g0.w1 + g1.w1)
+    assert np.count_nonzero(dense) > 0
+    assert np.max(np.abs(product - dense)) <= 1e-15 * np.max(np.abs(dense))
