@@ -4,8 +4,10 @@ Per block and head, queries come from the flattened block and keys/values
 from the composed bank features ``f_k``; a row-softmax association over the
 bank aggregates values, head outputs are concatenated through one shared
 output projection, and the result is added back onto the block and
-layer-normalized over channels. Parameter gradients are derived by hand and
-verified against central finite differences.
+layer-normalized over channels. The bank is frozen, so its keys and values
+are folded into the query and output weights once per (bank, params) pair.
+Parameter gradients are derived by hand and verified against central finite
+differences.
 """
 
 from __future__ import annotations
@@ -176,11 +178,10 @@ def layer_norm(rows, gain, bias, eps: float = 1e-5) -> np.ndarray:
         raise PreconditionError("eps must be nonnegative")
     if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
         raise DimensionError("gain and bias must match the channel count")
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    out = x - x.mean(axis=-1, keepdims=True)
+    var = (out * out).sum(axis=-1, keepdims=True) / x.shape[-1]  # the bits of x.var
     if eps == 0 and np.any(var == 0):
         raise NumericalError("layer norm: a row has zero variance and eps is 0")
-    out = x - mean
     out *= gain
     out /= np.sqrt(var + eps)
     out += bias
@@ -199,7 +200,7 @@ def _check_compatible(batch: FeatureBatch, bank: KnowledgeBank, params: Attentio
 
 
 # The projection of the last (bank, params) pair: (bank_ref, params_ref,
-# (k, v, w_q)). Both classes keep read-only arrays, so a projection cannot go
+# (k, v, a, b)). Both classes keep read-only arrays, so a projection cannot go
 # stale while its pair lives. The entry is keyed on the objects through weak
 # references: it keeps neither alive, and unlike an ``id`` (reused once its
 # object dies) or a content hash (which reads every weight on every call) a
@@ -217,43 +218,44 @@ def _forget(ref) -> None:
 
 
 def _project(bank: KnowledgeBank, params: AttentionParams):
-    """The bank keys ``k`` and values ``v``, each ``(heads, n, d_m)``, and
-    ``w_q`` with its heads side by side, computed once per (bank, params)."""
+    """The bank keys ``k`` and values ``v``, each ``(heads, n, d_m)``, folded
+    into the score weights ``a = scale * w_q[h] @ k[h].T`` laid out as
+    ``(c, heads*n)`` and the value-output weights ``b = v[h] @ w_o[h]`` laid
+    out as ``(heads*n, c)``, computed once per (bank, params)."""
     global _projection
     entry = _projection
     if entry is not None and entry[0]() is bank and entry[1]() is params:
         return entry[2]
     k = bank.f_k @ params.w_k
     v = bank.f_k @ params.w_v
-    w_q = params.w_q.transpose(1, 0, 2).reshape(params.c, -1)
-    projection = (k, v, w_q)
+    a = params.w_q @ k.transpose(0, 2, 1)  # (heads, c, n)
+    a *= 1.0 / math.sqrt(params.d_model)
+    a = a.transpose(1, 0, 2).reshape(params.c, -1)
+    b = (v @ params.w_o.reshape(params.heads, params.d_model, -1)).reshape(-1, params.c)
+    projection = (k, v, a, b)
     for arr in projection:
         arr.flags.writeable = False
     _projection = (weakref.ref(bank, _forget), weakref.ref(params, _forget), projection)
     return projection
 
 
-def _forward_parts(batch: FeatureBatch, bank: KnowledgeBank, params: AttentionParams) -> dict:
+def _forward_parts(batch: FeatureBatch, bank: KnowledgeBank, params: AttentionParams):
+    """The rows ``x`` ``(M, c)``, the association ``(M, heads*n)`` and the
+    pre-norm sums ``(M, c)``, with every row of every block as one row."""
     _check_compatible(batch, bank, params)
-    x = batch.blocks.reshape(-1, batch.c)  # (M, c): every row of every block
-    scale = 1.0 / math.sqrt(params.d_model)
-    k, v, w_q = _project(bank, params)
-    q = (x @ w_q).reshape(len(x), params.heads, -1).transpose(1, 0, 2)  # (heads, M, d_m)
-    assoc = q @ k.transpose(0, 2, 1)  # scores (heads, M, n), made the association in place
-    assoc *= scale
+    x = batch.blocks.reshape(-1, batch.c)
+    _, _, a, b = _project(bank, params)
+    assoc = x @ a  # scores, made the association in place
     if not np.all(np.isfinite(assoc)):
         raise NumericalError("non-finite attention scores")
-    assoc -= assoc.max(axis=-1, keepdims=True)  # row softmax over the bank entries
-    np.exp(assoc, out=assoc)
-    assoc /= assoc.sum(axis=-1, keepdims=True)
-    concat = (assoc @ v).transpose(1, 0, 2).reshape(len(x), -1)  # (M, heads*d_m)
-    pre = x + concat @ params.w_o
+    scores = assoc.reshape(len(x), params.heads, -1)  # row softmax over the bank, per head
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    pre = x + assoc @ b
     if not np.all(np.isfinite(pre)):
         raise NumericalError("non-finite pre-normalization features")
-    return {
-        "x": x, "scale": scale, "k": k, "v": v, "q": q,
-        "assoc": assoc, "concat": concat, "pre": pre,
-    }
+    return x, assoc, pre
 
 
 def cross_attend(
@@ -266,11 +268,11 @@ def cross_attend(
     complemented batch plus a trace holding the per-head association
     matrices, the pre-norm sums, and the output rows.
     """
-    parts = _forward_parts(batch, bank, params)
-    pre = parts["pre"].reshape(batch.m, -1, batch.c)
+    _, assoc, pre = _forward_parts(batch, bank, params)
+    pre = pre.reshape(batch.m, -1, batch.c)
     out_rows = layer_norm(pre, params.gain, params.bias, params.eps)
     out = FeatureBatch(mode=batch.mode, blocks=out_rows.reshape(batch.blocks.shape))
-    assoc = parts["assoc"].reshape(params.heads, batch.m, -1, bank.n).transpose(1, 0, 2, 3)
+    assoc = assoc.reshape(batch.m, -1, params.heads, bank.n).transpose(0, 2, 1, 3)
     trace = AttentionTrace(assoc=assoc, pre_norm=pre, output=out_rows)
     return out, trace
 
@@ -285,12 +287,13 @@ def attention_gradients(
     and are checked against central finite differences in the test suite.
     """
     up = check_array("upstream", upstream, batch.blocks.shape)
-    parts = _forward_parts(batch, bank, params)
-    x, pre, assoc = parts["x"], parts["pre"], parts["assoc"]
+    x, assoc, pre = _forward_parts(batch, bank, params)
+    k, v, _, b = _project(bank, params)
+    heads, n = params.heads, bank.n
 
     du = up.reshape(pre.shape)
-    inv = 1.0 / np.sqrt(pre.var(axis=-1, keepdims=True) + params.eps)
     xhat = pre - pre.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / pre.shape[-1] + params.eps)
     xhat *= inv
     d_bias = du.sum(axis=0)
     d_gain = (du * xhat).sum(axis=0)
@@ -298,18 +301,19 @@ def attention_gradients(
     ds = dxhat - dxhat.mean(axis=-1, keepdims=True)
     ds -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     ds *= inv
-    # residual: ds is the cotangent of f_o (the input branch needs no gradient)
-    d_wo = parts["concat"].T @ ds
-    d_heads = (ds @ params.w_o.T).reshape(len(x), params.heads, -1).transpose(1, 0, 2)
-    d_v = assoc.transpose(0, 2, 1) @ d_heads
-    # softmax and scale backward, in place on d_assoc to spare two (heads, M, n) arrays
-    d_assoc = d_heads @ parts["v"].transpose(0, 2, 1)
-    d_assoc -= (d_assoc * assoc).sum(axis=-1, keepdims=True)
+    # residual: ds is the cotangent of assoc @ b (the input branch needs no gradient)
+    d_b = (assoc.T @ ds).reshape(heads, n, -1)  # (heads, n, c)
+    d_assoc = ds @ b.T
+    # softmax backward per head, in place on d_assoc to spare two (M, heads*n) arrays
+    per_head = d_assoc.reshape(len(x), heads, n)
+    per_head -= (per_head * assoc.reshape(per_head.shape)).sum(axis=-1, keepdims=True)
     d_assoc *= assoc
-    d_assoc *= parts["scale"]
-    d_q = d_assoc @ parts["k"]
-    d_k = d_assoc.transpose(0, 2, 1) @ parts["q"]
-    d_wq = x.T @ d_q
+    d_a = (x.T @ d_assoc).reshape(-1, heads, n).transpose(1, 0, 2)  # (heads, c, n)
+    d_a *= 1.0 / math.sqrt(params.d_model)
+    d_wo = (v.transpose(0, 2, 1) @ d_b).reshape(params.w_o.shape)
+    d_v = d_b @ params.w_o.reshape(heads, params.d_model, -1).transpose(0, 2, 1)
+    d_wq = d_a @ k
+    d_k = d_a.transpose(0, 2, 1) @ params.w_q
     d_wk = bank.f_k.T @ d_k
     d_wv = bank.f_k.T @ d_v
     return AttentionGrads(w_q=d_wq, w_k=d_wk, w_v=d_wv, w_o=d_wo, gain=d_gain, bias=d_bias)

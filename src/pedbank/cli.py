@@ -139,7 +139,7 @@ def cmd_inspect(args) -> int:
     csv_out = args.fk_csv_out or f"{args.bank}.fk.csv"
     with open(csv_out, "w", encoding="utf-8") as fh:
         for row in loaded.f_k:
-            fh.write(",".join(repr(float(x)) for x in row))
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")
     print(f"wrote groups report to {groups_out}")
     print(f"wrote composed-feature csv to {csv_out}")

@@ -156,6 +156,17 @@ class TestLayerNorm:
         with pytest.raises(NumericalError, match="layer norm.*zero variance"):
             layer_norm(np.array(rows), np.ones(3), np.zeros(3), eps=0.0)
 
+    @pytest.mark.parametrize("shape", [(100, 49, 256), (1, 1, 256), (7, 3), (4, 2, 5, 64), (2,)])
+    def test_variance_of_the_centered_rows_has_the_bits_of_var(self, shape):
+        rng = np.random.default_rng(17)
+        rows = rng.normal(size=shape) * 2.5 + 0.75
+        gain, bias = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        want = rows - rows.mean(axis=-1, keepdims=True)
+        want *= gain
+        want /= np.sqrt(rows.var(axis=-1, keepdims=True) + 1e-5)
+        want += bias
+        np.testing.assert_array_equal(layer_norm(rows, gain, bias), want)
+
     def test_rejects_single_channel(self):
         with pytest.raises(PreconditionError):
             layer_norm(np.ones((2, 1)), np.ones(1), np.zeros(1))
@@ -258,6 +269,28 @@ class TestProjectionMemo:
         assert attention._project(bank, replace(params)) is not first
         for arr in first:
             assert not arr.flags.writeable
+
+    def test_the_bank_is_folded_into_per_head_score_and_output_weights(self):
+        _, bank, params = small_setup(n=5, heads=3)
+        k, v, a, b = cold(attention._project, bank, params)
+        heads, n, c, d_m = params.heads, bank.n, params.c, params.d_model
+        assert a.shape == (c, heads * n) and b.shape == (heads * n, c)
+        assert not a.flags.writeable and not b.flags.writeable
+        for h in range(heads):
+            heads_n, heads_dm = slice(h * n, (h + 1) * n), slice(h * d_m, (h + 1) * d_m)
+            want_a = params.w_q[h] @ k[h].T / math.sqrt(d_m)
+            np.testing.assert_allclose(a[:, heads_n], want_a, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(b[heads_n], v[h] @ params.w_o[heads_dm], rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("name, folded", [("w_q", 2), ("w_o", 3)])
+    def test_params_with_a_replaced_w_q_or_w_o_get_a_fresh_fold(self, name, folded):
+        _, bank, params = small_setup()
+        first = cold(attention._project, bank, params)
+        changed = replace(params, **{name: -getattr(params, name)})
+        again = attention._project(bank, changed)
+        assert again is not first
+        for i, arr in enumerate(again):  # negating a weight negates its fold exactly
+            np.testing.assert_array_equal(arr, -first[i] if i == folded else first[i])
 
     def test_warm_calls_repeat_the_cold_bits(self):
         batch, bank, params = small_setup()
@@ -409,6 +442,8 @@ class TestEinsumReference:
     SHAPES = [
         dict(m=3, h=2, w=3, c=10, n=5, d=7, d_m=4, heads=3),
         dict(m=2, h=1, w=4, c=6, n=3, d=9, d_m=5, heads=4),
+        # n above c*d_m/(c - d_m) = 8, where folding the bank costs more than it saves
+        dict(m=2, h=2, w=2, c=8, n=12, d=6, d_m=4, heads=2),
     ]
 
     @pytest.mark.parametrize("shape", SHAPES)

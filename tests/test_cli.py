@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pedbank.attention import init_attention, layer_norm, load_feature_batch, save_attention_params, save_feature_batch, FeatureBatch
-from pedbank.bank import load_bank, save_bank
+from pedbank.bank import KnowledgeBank, load_bank, save_bank
 from pedbank.cli import (
     EXIT_DIMENSION,
     EXIT_IO,
@@ -232,6 +232,19 @@ class TestInspect:
         assert "records: 0" in out
         doc = json.loads((tmp_path / "bank.json.groups.json").read_text())
         assert doc["counts"] == [0, 0, 0, 0]
+
+    def test_csv_bytes_are_the_repr_of_every_float(self, tmp_path):
+        values = np.array([[5e-324, -0.0, 1e16, 1e-7], [-5e-324, 0.1, -1e16, 3.0]])
+        bank_path, csv_out = tmp_path / "edge.json", tmp_path / "edge.csv"
+        save_bank(KnowledgeBank(n=2, dim=4, f_q=values, f_h=np.zeros((2, 4)), f_k=values), bank_path)
+        embeddings = tmp_path / "four.jsonl"
+        assert run("gen-synthetic", embeddings, "--pedestrians", 3, "--backgrounds", 2, "--d", 4) == EXIT_OK
+        assert run("inspect", bank_path, embeddings, "--fk-csv-out", csv_out) == EXIT_OK
+        f_k = load_bank(bank_path).f_k
+        assert np.signbit(f_k[0, 1])
+        want = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in f_k)
+        assert csv_out.read_bytes() == want.encode("utf-8")
+        assert csv_out.read_text().splitlines()[0] == "5e-324,-0.0,1e+16,1e-07"
 
     def test_rejects_unknown_bank_version(self, tmp_path, embeddings_file):
         bank_path = tmp_path / "future.json"
