@@ -338,7 +338,7 @@ def save_feature_batch(batch: FeatureBatch, path) -> None:
     deterministic for a given batch."""
     jsonio.write_documents(path, [{
         "mode": batch.mode, "m": batch.m, "h": batch.h, "w": batch.w, "c": batch.c,
-        "data": batch.blocks.ravel().tolist(),
+        "data": batch.blocks.ravel(),
     }])
 
 
@@ -347,7 +347,7 @@ def save_attention_params(params: AttentionParams, path) -> None:
     jsonio.write_documents(path, [{
         "version": ATTENTION_PARAMS_VERSION, "heads": params.heads, "d_model": params.d_model,
         "c": params.c, "d": params.d, "eps": params.eps,
-        **{name: getattr(params, name).tolist() for name in _PARAM_ARRAYS},
+        **{name: getattr(params, name) for name in _PARAM_ARRAYS},
     }])
 
 

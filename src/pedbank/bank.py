@@ -87,7 +87,7 @@ def save_bank(bank: KnowledgeBank, path) -> None:
     bank.validate()
     jsonio.write_documents(path, [{
         "version": bank.version, "n": bank.n, "dim": bank.dim, "meta": bank.meta,
-        "f_q": bank.f_q.tolist(), "f_h": bank.f_h.tolist(), "f_k": bank.f_k.tolist(),
+        "f_q": bank.f_q, "f_h": bank.f_h, "f_k": bank.f_k,
     }])
 
 

@@ -117,7 +117,7 @@ def write_embedding_file(dataset: EmbeddingDataset, path) -> None:
     """Serialize a dataset as JSON lines with round-trip exact floats."""
     jsonio.write_documents(path, (
         {"id": rec_id, "label": label, "vector": vector}
-        for rec_id, label, vector in zip(dataset.ids, dataset.labels, dataset.vectors.tolist())
+        for rec_id, label, vector in zip(dataset.ids, dataset.labels, dataset.vectors)
     ))
 
 

@@ -151,10 +151,16 @@ def forward_classify(index, codebook: Codebook, hints: HintSet, classifier: Clas
         raise PreconditionError(f"codeword index must be an integer in [0, {n}), got {index!r}")
     index = int(index)
     x = codebook.centroids[index] + hints.hints[index]
-    pre = classifier.w1 @ x + classifier.b1
-    hid = np.maximum(pre, 0.0)
-    logit = float(classifier.w2[0] @ hid + classifier.b2)
+    pre, hid, logit = _forward(x, classifier.w1, classifier.b1, classifier.w2, classifier.b2)
     return logit, ForwardCache(index=index, x=x, pre=pre, hid=hid, logit=logit)
+
+
+def _forward(x, w1, b1, w2, b2):
+    """``(pre, hid, logit)`` of the classifier at input ``x``; shared by
+    ``forward_classify`` and the training loop."""
+    pre = w1 @ x + b1
+    hid = np.maximum(pre, 0.0)
+    return pre, hid, float(w2[0] @ hid + b2)
 
 
 def bce_loss(logit: float, label: int) -> float:
@@ -188,12 +194,20 @@ def backward(cache: ForwardCache, classifier: ClassifierParams, label: int) -> C
     """
     if label not in (0, 1):
         raise PreconditionError(f"label must be 0 or 1, got {label!r}")
-    d_logit = _sigmoid(cache.logit) - float(label)
-    d_w2 = (d_logit * cache.hid)[None, :]
-    d_hid = d_logit * classifier.w2[0]
-    d_pre = np.where(cache.pre > 0.0, d_hid, 0.0)
-    d_hint = classifier.w1.T @ d_pre
+    d_pre, d_w2, d_logit, d_hint = _backward(
+        cache.pre, cache.hid, cache.logit, classifier.w1, classifier.w2, label
+    )
     return ClassifierGrads(x=cache.x, b1=d_pre, w2=d_w2, b2=d_logit, hint=d_hint)
+
+
+def _backward(pre, hid, logit, w1, w2, label):
+    """``(d_pre, d_w2, d_logit, d_hint)`` of one forward pass; shared by
+    ``backward`` and the training loop."""
+    d_logit = _sigmoid(logit) - float(label)
+    d_w2 = (d_logit * hid)[None, :]
+    d_hid = d_logit * w2[0]
+    d_pre = np.where(pre > 0.0, d_hid, 0.0)
+    return d_pre, d_w2, d_logit, w1.T @ d_pre
 
 
 def train_hints(
@@ -213,7 +227,9 @@ def train_hints(
     set, to the selected hint rows. With it unset the returned hints equal
     their initialization exactly. The two rank-one ``w1`` gradients are
     applied together as one ``(hidden, 2) @ (2, dim)`` product, so no step
-    forms a dense ``w1`` gradient.
+    forms a dense ``w1`` gradient. The hint matrix and the classifier arrays
+    are updated as locals, through the arithmetic of ``forward_classify``
+    and ``backward``, and wrapped once at return.
     """
     if len(pedestrians) == 0 or len(backgrounds) == 0:
         raise PreconditionError("hint training requires records of both labels")
@@ -222,8 +238,10 @@ def train_hints(
             raise DimensionError(
                 f"{name} dataset dimension {ds.dim} != codebook dimension {codebook.dim}"
             )
-    hints = init_hints(codebook.n, codebook.dim, config.seed)
+    h = init_hints(codebook.n, codebook.dim, config.seed).hints
     clf = init_classifier(codebook.dim, config.hidden, config.seed + 1)
+    w1, b1, w2, b2 = clf.w1, clf.b1, clf.w2, clf.b2
+    centroids = codebook.centroids
     rng = np.random.default_rng(config.seed + 2)
     ped_routes = route(pedestrians.vectors, codebook).tolist()
     bg_routes = route(backgrounds.vectors, codebook).tolist()
@@ -235,30 +253,30 @@ def train_hints(
             ped = ped_routes[int(rng.integers(len(ped_routes)))]
             bg = bg_routes[int(rng.integers(len(bg_routes)))]
             losses: list[float] = []
-            grads: list[ClassifierGrads] = []
+            grads = []
             for index, label in ((ped, 1), (bg, 0)):
-                logit, cache = forward_classify(index, codebook, hints, clf)
+                x = centroids[index] + h[index]
+                pre, hid, logit = _forward(x, w1, b1, w2, b2)
                 if not math.isfinite(logit):
                     raise NumericalError(
-                        f"non-finite logit at step {step} "
-                        f"(label {label}, codeword {cache.index})"
+                        f"non-finite logit at step {step} (label {label}, codeword {index})"
                     )
                 losses.append(bce_loss(logit, label))
-                grads.append(backward(cache, clf, label))
+                grads.append((x, *_backward(pre, hid, logit, w1, w2, label)))
             total = losses[0] + losses[1]
             if not math.isfinite(total):
                 raise NumericalError(
                     f"non-finite loss at step {step} "
                     f"(pedestrian loss {losses[0]}, background loss {losses[1]})"
                 )
-            g0, g1 = grads
-            clf.w1 -= (lr * np.array([g0.b1, g1.b1]).T) @ np.array([g0.x, g1.x])
-            clf.b1 -= lr * (g0.b1 + g1.b1)
-            clf.w2 -= lr * (g0.w2 + g1.w2)
-            clf.b2 = clf.b2 - lr * (g0.b2 + g1.b2)
+            xs, d_pre, d_w2, d_logit, d_hint = zip(*grads)  # (pedestrian, background)
+            w1 -= (lr * np.array(d_pre).T) @ np.array(xs)
+            b1 -= lr * (d_pre[0] + d_pre[1])
+            w2 -= lr * (d_w2[0] + d_w2[1])
+            b2 = b2 - lr * (d_logit[0] + d_logit[1])
             if config.train_hints:
-                hints.hints[ped] -= lr * g0.hint
-                hints.hints[bg] -= lr * g1.hint
+                h[ped] -= lr * d_hint[0]
+                h[bg] -= lr * d_hint[1]
             history.append(
                 StepRecord(
                     loss=total,
@@ -268,7 +286,8 @@ def train_hints(
                     bg_loss=losses[1],
                 )
             )
-    return hints, clf, history
+    hint_set = HintSet(n=codebook.n, dim=codebook.dim, hints=h)
+    return hint_set, ClassifierParams(w1=w1, b1=b1, w2=w2, b2=b2), history
 
 
 def write_history(history: list[StepRecord], path) -> None:

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 
 from pedbank.attention import init_attention, layer_norm, load_feature_batch, save_attention_params, save_feature_batch, FeatureBatch
 from pedbank.bank import KnowledgeBank, load_bank, save_bank
+from pedbank import jsonio
 from pedbank.cli import (
     EXIT_DIMENSION,
     EXIT_IO,
@@ -325,6 +329,29 @@ class TestComplement:
             "complement", bank_file, features, out_path, "--d-model", 4, "--heads", 2,
         ) == EXIT_OK
         assert load_feature_batch(out_path).mode == "query"
+
+    def test_a_pooled_write_prints_once_and_keeps_stderr_empty(self, tmp_path, bank_file, monkeypatch):
+        # more values than the writer's size rule, so with more than one CPU
+        # the output is formatted in forked workers, which must not re-flush
+        # the parent's buffered stdout
+        blocks = np.random.default_rng(20).normal(size=(jsonio.POOL_MIN_VALUES // 12 + 1, 1, 1, 12))
+        features = tmp_path / "features.json"
+        save_feature_batch(FeatureBatch(mode="proposal", blocks=blocks), features)
+
+        def argv(out):
+            return [str(a) for a in ("complement", bank_file, features, tmp_path / out,
+                                     "--d-model", 4, "--heads", 2)]
+
+        src = Path(jsonio.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "pedbank", *argv("pooled.json")],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert proc.stdout.count("wrote complemented batch") == 1
+        monkeypatch.setattr(jsonio, "POOL_MIN_VALUES", blocks.size + 1)
+        assert main(argv("in_process.json")) == EXIT_OK
+        assert (tmp_path / "pooled.json").read_bytes() == (tmp_path / "in_process.json").read_bytes()
 
 
 class TestGradcheck:

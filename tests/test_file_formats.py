@@ -6,10 +6,15 @@ must reject malformed values with exit code 2 and name the file.
 
 import hashlib
 import json
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pedbank import jsonio
 from pedbank.attention import FeatureBatch, init_attention, save_attention_params, save_feature_batch
 from pedbank.bank import save_bank
 from pedbank.cli import EXIT_PARSE, main
@@ -120,3 +125,103 @@ def test_non_utf8_file_exits_2_naming_the_file(tmp_path, capsys, valid_files, na
     assert main(argv_reading(name, valid_files, tmp_path)) == EXIT_PARSE
     assert str(path) in capsys.readouterr().err
 
+
+
+# Float text edge cases: signed zero, the smallest subnormal, and the points
+# where repr switches between positional and exponent notation.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e16, 1e300, 1e-7]
+
+
+def reference_line(doc):
+    """The line ``write_documents`` must produce: ``json.dumps`` of the
+    document with its arrays as nested lists."""
+    listed = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+    return json.dumps(listed, sort_keys=True, allow_nan=False) + "\n"
+
+
+def pool_every_array(monkeypatch):
+    """Send every array with more than one chunk to two forked workers."""
+    monkeypatch.setattr(jsonio, "POOL_MIN_VALUES", 1)
+    monkeypatch.setattr(jsonio, "CHUNK_VALUES", 5)
+    monkeypatch.setattr(jsonio, "_cpus", lambda: 2)
+
+
+@pytest.fixture()
+def pooled(monkeypatch):
+    pool_every_array(monkeypatch)
+
+
+@st.composite
+def float_arrays(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    values = st.one_of(
+        st.sampled_from(EDGE_FLOATS),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    flat = draw(st.lists(values, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(flat, dtype=np.float64).reshape(shape)
+
+
+@pytest.mark.parametrize("path", ["in-process", "pooled"])
+@settings(deadline=None, max_examples=25)
+@given(first=float_arrays(), second=float_arrays())
+def test_written_bytes_equal_json_dumps_of_the_lists(tmp_path_factory, path, first, second):
+    docs = [
+        {"version": 1, "data": first, "meta": {"b": "x", "a": "y"}, "eps": 1e-5},
+        {"z": second, "a": first.ravel(), "id": "r\u00e9-1"},
+    ]
+    out = tmp_path_factory.mktemp("writer") / "docs.json"
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "pooled":
+            pool_every_array(mp)
+        jsonio.write_documents(out, docs)
+    assert out.read_text(encoding="utf-8") == "".join(map(reference_line, docs))
+
+
+def test_edge_floats_and_empty_axes_match_json_dumps(tmp_path):
+    docs = [{"a": np.array(EDGE_FLOATS), "b": np.empty((2, 0)), "c": np.empty(0)}]
+    jsonio.write_documents(tmp_path / "d.json", docs)
+    assert (tmp_path / "d.json").read_text() == "".join(map(reference_line, docs))
+
+
+def _pid_chunk(chunk):
+    return str(os.getpid())
+
+
+def test_large_arrays_are_formatted_in_other_processes(tmp_path, pooled, monkeypatch):
+    monkeypatch.setattr(jsonio, "_format_chunk", _pid_chunk)
+    jsonio.write_documents(tmp_path / "d.json", [{"data": np.zeros(20)}])
+    pids = json.loads((tmp_path / "d.json").read_text())["data"]
+    assert len(pids) == 4 and os.getpid() not in pids
+
+
+def _failing_chunk(chunk):
+    raise ArithmeticError("chunk failed")
+
+
+def _dying_chunk(chunk):
+    os._exit(3)
+
+
+@pytest.mark.parametrize("chunk_function, error", [
+    (_failing_chunk, ArithmeticError), (_dying_chunk, BrokenProcessPool),
+], ids=["raises", "exits"])
+def test_a_failing_worker_raises_in_the_caller(tmp_path, pooled, monkeypatch, chunk_function, error):
+    monkeypatch.setattr(jsonio, "_format_chunk", chunk_function)
+    with pytest.raises(error):
+        jsonio.write_documents(tmp_path / "d.json", [{"data": np.zeros(20)}])
+
+
+@pytest.mark.parametrize("doc", [
+    {"data": np.array([1.0, np.nan])},
+    {"data": np.array([[np.inf], [1.0]])},
+    {"data": np.array([1.0, 2.0]), "eps": float("-inf")},
+    {"data": np.array([1, 2])},
+], ids=["nan", "inf", "non-finite-scalar", "int-array"])
+def test_a_rejected_document_leaves_an_existing_file_unchanged(tmp_path, doc):
+    path = tmp_path / "d.json"
+    path.write_bytes(b"previous bytes\n")
+    docs = [{"data": np.zeros(3)}, doc]  # the bad document comes second
+    with pytest.raises(ValueError):
+        jsonio.write_documents(path, docs)
+    assert path.read_bytes() == b"previous bytes\n"
