@@ -40,7 +40,6 @@ from .hints import (
     ClassifierGrads,
     ClassifierParams,
     HintSet,
-    StepRecord,
     TrainConfig,
     backward,
     bce_loss,

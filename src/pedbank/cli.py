@@ -110,7 +110,7 @@ def cmd_build_bank(args) -> int:
     if args.history is not None:
         hints.write_history(history, args.history)
     print(f"wrote bank to {args.out} (n={built.n}, dim={built.dim})")
-    print(f"final loss: {history[-1].loss:.6f}")
+    print(f"final loss: {history['loss'][-1]:.6f}")
     print(f"assignment entropy: {_entropy(counts):.6f} nats")
     return EXIT_OK
 
@@ -137,7 +137,7 @@ def cmd_inspect(args) -> int:
     }
     jsonio.write_documents(groups_out, [doc])
     csv_out = args.fk_csv_out or f"{args.bank}.fk.csv"
-    with open(csv_out, "w", encoding="utf-8") as fh:
+    with jsonio.replacing(csv_out) as fh:
         for row in loaded.f_k:
             fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")

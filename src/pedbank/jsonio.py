@@ -15,13 +15,17 @@ about ``CHUNK_VALUES`` values each.
 An array of at least ``POOL_MIN_VALUES`` values, on a platform that reports
 more than one CPU available to the process, has its chunks formatted in
 forked worker processes; the bytes do not depend on which way ran.
+Every writer of the package goes through ``replacing``, so a failed write
+leaves an existing file as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import stat
 
 import numpy as np
 
@@ -112,10 +116,11 @@ def write_documents(path, docs) -> None:
     Values that are NumPy arrays must be float64 and finite; every other
     value goes through ``json.dumps``. All documents are checked before the
     file is opened, so a rejected write (``ValueError``) leaves an existing
-    file as it was.
+    file as it was, and the text is written through ``replacing``, so a
+    write that fails later does too.
     """
     parts = [_document_parts(doc) for doc in docs]
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for doc_parts in parts:
             for part in doc_parts:
                 if isinstance(part, str):
@@ -123,6 +128,43 @@ def write_documents(path, docs) -> None:
                 else:
                     _write_array(fh, part)
             fh.write("\n")
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A text file whose contents replace ``path`` when the block completes.
+
+    The text goes to a new file in the destination's directory, created
+    with the permissions ``open(path, "w")`` would give, and is moved over
+    ``path`` with ``os.replace`` at the end. On any exception the new file
+    is removed and an existing ``path`` keeps its bytes. The move is atomic
+    for other processes, but nothing is flushed to disk before it. A path
+    through a symbolic link replaces the link's target; a destination that
+    is not a regular file (a device or a pipe) is written in place, since
+    replacing it would remove it.
+    """
+    target = os.path.realpath(path)
+    exists = os.path.exists(target)
+    if exists and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    directory, name = os.path.split(target)
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(6).hex()}.tmp")
+    try:
+        # 0o666 less the umask, as open() creates files; mkstemp would give 0o600.
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the destination, as open(path, "w") would
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            if exists:  # open() keeps an existing file's permissions
+                os.chmod(temporary, stat.S_IMODE(os.stat(target).st_mode))
+            yield fh
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def _document_parts(doc: dict) -> list:

@@ -89,7 +89,7 @@ def test_hint_training_learns_separable_data(tmp_path):
     hint_set, clf, history = train_hints(
         peds, bgs, codebook, TrainConfig(lr=0.1, steps=2000, seed=2)
     )
-    tail = float(np.mean([rec.loss for rec in history[-200:]]))
+    tail = float(np.mean(history["loss"][-200:]))
     held = generate_synthetic(
         seed=3, pedestrians=300, backgrounds=200, dim=16, separation=SEPARATION
     )

@@ -228,6 +228,22 @@ class TestInspect:
         assert (tmp_path / "bank.json.groups.json").exists()
         assert (tmp_path / "bank.json.fk.csv").exists()
 
+    def test_reports_are_moved_over_their_destinations(
+        self, tmp_path, built_bank, embeddings_file, monkeypatch
+    ):
+        # written beside the destination first, so a failed write keeps the old file
+        replaced = []
+        os_replace = os.replace
+
+        def recording_replace(src, dst):
+            replaced.append(dst)
+            os_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        assert run("inspect", built_bank, embeddings_file) == EXIT_OK
+        reports = ("bank.json.groups.json", "bank.json.fk.csv")
+        assert replaced == [os.path.realpath(tmp_path / name) for name in reports]
+
     def test_empty_embeddings(self, tmp_path, built_bank, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

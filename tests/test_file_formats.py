@@ -7,6 +7,8 @@ must reject malformed values with exit code 2 and name the file.
 import hashlib
 import json
 import os
+import stat
+import threading
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -208,8 +210,51 @@ def _dying_chunk(chunk):
 ], ids=["raises", "exits"])
 def test_a_failing_worker_raises_in_the_caller(tmp_path, pooled, monkeypatch, chunk_function, error):
     monkeypatch.setattr(jsonio, "_format_chunk", chunk_function)
+    path = tmp_path / "d.json"
+    path.write_bytes(b"previous bytes\n")
     with pytest.raises(error):
-        jsonio.write_documents(tmp_path / "d.json", [{"data": np.zeros(20)}])
+        jsonio.write_documents(path, [{"data": np.zeros(20)}])
+    assert path.read_bytes() == b"previous bytes\n"
+    assert os.listdir(tmp_path) == ["d.json"]  # no temporary file left behind
+
+
+def test_a_written_file_gets_the_permissions_open_gives(tmp_path):
+    plain, written = tmp_path / "plain.json", tmp_path / "written.json"
+    with open(plain, "w", encoding="utf-8"):
+        pass
+    jsonio.write_documents(written, [{"a": 1}])
+    assert stat.S_IMODE(os.stat(written).st_mode) == stat.S_IMODE(os.stat(plain).st_mode)
+    os.chmod(written, 0o640)  # open(path, "w") keeps an existing file's mode
+    jsonio.write_documents(written, [{"a": 2}])
+    assert stat.S_IMODE(os.stat(written).st_mode) == 0o640
+    assert written.read_text() == '{"a": 2}\n'
+
+
+def test_a_write_through_a_link_replaces_its_target(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    jsonio.write_documents(link, [{"a": 1}])
+    assert link.is_symlink() and target.read_text() == '{"a": 1}\n'
+
+
+def test_a_missing_directory_raises_naming_the_destination(tmp_path):
+    path = tmp_path / "missing" / "d.json"
+    with pytest.raises(FileNotFoundError) as raised:
+        jsonio.write_documents(path, [{"a": 1}])
+    assert raised.value.filename == str(path)
+
+
+def test_a_pipe_is_written_in_place(tmp_path):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    jsonio.write_documents(pipe, [{"a": 1}])
+    reader.join(timeout=10)
+    assert not reader.is_alive() and received == [b'{"a": 1}\n']
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
 
 
 @pytest.mark.parametrize("doc", [

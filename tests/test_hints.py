@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,10 +17,12 @@ from pedbank.embeddings import (
 from pedbank.errors import DimensionError, NumericalError, PreconditionError
 from pedbank.gradcheck import classifier_check
 from pedbank.hints import (
+    W1_BLOCK_STEPS,
     ClassifierParams,
     HintSet,
-    StepRecord,
     TrainConfig,
+    _backward,
+    _forward,
     backward,
     bce_loss,
     forward_classify,
@@ -33,6 +36,7 @@ from pedbank.quantizer import Codebook, KMeansConfig, kmeans, quantize, route
 from support import make_dataset
 
 SEPARATION = 16.0
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e16, 1e300, 1e-7]
 
 
 def scalar_net(w1=1.0, b1=0.0, w2=1.0, b2=0.0):
@@ -221,8 +225,8 @@ class TestTrain:
         hint_set, clf, history = train_hints(
             peds, bgs, codebook, TrainConfig(lr=0.1, steps=2000, seed=2)
         )
-        assert len(history) == 2000
-        tail = float(np.mean([rec.loss for rec in history[-200:]]))
+        assert len(history["loss"]) == 2000
+        tail = float(np.mean(history["loss"][-200:]))
         assert tail < 0.1
         held = generate_synthetic(
             seed=3, pedestrians=300, backgrounds=200, dim=16, separation=SEPARATION
@@ -241,7 +245,7 @@ class TestTrain:
         np.testing.assert_array_equal(
             hint_set.hints, init_hints(codebook.n, codebook.dim, config.seed).hints
         )
-        assert len(history) == 60
+        assert len(history["loss"]) == 60
 
     def test_only_selected_rows_move(self, separable):
         peds, bgs, codebook = separable
@@ -249,7 +253,7 @@ class TestTrain:
         before = init_hints(codebook.n, codebook.dim, config.seed).hints
         frozen = codebook.centroids.copy()
         hint_set, _, history = train_hints(peds, bgs, codebook, config)
-        touched = {rec.ped_index for rec in history} | {rec.bg_index for rec in history}
+        touched = set(history["ped_index"].tolist()) | set(history["bg_index"].tolist())
         for row in range(codebook.n):
             if row not in touched:
                 np.testing.assert_array_equal(hint_set.hints[row], before[row])
@@ -258,11 +262,12 @@ class TestTrain:
     def test_history_records_per_sample_losses(self, separable):
         peds, bgs, codebook = separable
         _, _, history = train_hints(peds, bgs, codebook, TrainConfig(lr=0.1, steps=1, seed=0))
-        assert len(history) == 1
-        rec = history[0]
-        assert rec.loss == rec.ped_loss + rec.bg_loss
-        assert rec.ped_loss >= 0.0 and rec.bg_loss >= 0.0
-        assert 0 <= rec.ped_index < codebook.n and 0 <= rec.bg_index < codebook.n
+        assert all(len(column) == 1 for column in history.values())
+        loss, ped_loss, bg_loss = (history[k][0] for k in ("loss", "ped_loss", "bg_loss"))
+        ped_index, bg_index = history["ped_index"][0], history["bg_index"][0]
+        assert loss == ped_loss + bg_loss
+        assert ped_loss >= 0.0 and bg_loss >= 0.0
+        assert 0 <= ped_index < codebook.n and 0 <= bg_index < codebook.n
 
     def test_training_is_deterministic(self, separable):
         peds, bgs, codebook = separable
@@ -272,7 +277,9 @@ class TestTrain:
         np.testing.assert_array_equal(h1.hints, h2.hints)
         np.testing.assert_array_equal(c1.w1, c2.w1)
         assert c1.b2 == c2.b2
-        assert hist1 == hist2
+        assert hist1.keys() == hist2.keys()
+        for name in hist1:
+            np.testing.assert_array_equal(hist1[name], hist2[name])
 
     def test_rejects_missing_label(self, separable):
         peds, _, codebook = separable
@@ -306,14 +313,14 @@ class TestTrain:
 # (little-endian float64) of two seeded runs; training must stay bit-identical.
 GOLDEN_TRAINING = {
     "separable": {
-        "history": "0dbf697b8d9706aebb52a8cde69aeb2a5e52d6b8c9f38075ab51d20f907f815e",
-        "hints": "58f386caceea7d56908d6ca8390f9d94d2c41d2c1b93c6ba2391b98c61d44b69",
-        "classifier": "d4c72aa900e3544d439cc03393cbcb2a911922157f095f1f431e31c52afa3271",
+        "history": "7ada6a8b5cc9891cb420e053c2c552b992b52959a96da8ff8eabcdd1205cc6ae",
+        "hints": "12ed4588ee304529e45e628930fe7ec5cfb404eed9e7ebf7b5c86cd188c8174e",
+        "classifier": "12ff869acf1129a8fb41d448d1f2d7bf4a7c6391a5e53cb57e891da55ca56d8b",
     },
     "normalized": {
-        "history": "83863286c7e14f478fa656d80106255954c5ac739ee9ec5598ebaa76dbd58028",
-        "hints": "0af0623e01785af9a74192f3211430cc93dd17d8bb4e28a9e5ea40681739f0ff",
-        "classifier": "e82d0b90907aa1a4ee01669a22bd9efd47898a7873f2c95f2d6c2204a619f700",
+        "history": "12937062585614531a4b3c4a7f1720c6823f02d21613f695261fb894588c672a",
+        "hints": "6002c438dc5a4f9b53d1720cf181053bb7e0b7b80e33656d4f356aebbc44d399",
+        "classifier": "3f5fbb2eb43f049bc7db437cc1c1d3a235e3a80a38b4d9c54aeadb84efc188cd",
     },
 }
 
@@ -360,25 +367,67 @@ def test_write_history_json_lines(tmp_path):
     write_history(history, path)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(lines) == 6
-    for step, rec in enumerate(history):
+    for step in range(3):
         ped_line, bg_line = lines[2 * step], lines[2 * step + 1]
-        assert ped_line == {"step": step, "loss": rec.ped_loss, "selected": rec.ped_index, "label": 1}
-        assert bg_line == {"step": step, "loss": rec.bg_loss, "selected": rec.bg_index, "label": 0}
+        assert ped_line == {
+            "step": step,
+            "loss": history["ped_loss"][step],
+            "selected": history["ped_index"][step],
+            "label": 1,
+        }
+        assert bg_line == {
+            "step": step,
+            "loss": history["bg_loss"][step],
+            "selected": history["bg_index"][step],
+            "label": 0,
+        }
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 2**40),
+            st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS),
+            st.integers(0, 2**40),
+            st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_write_history_bytes_equal_json_dumps_per_line(tmp_path_factory, rows):
+    ped_index, ped_loss, bg_index, bg_loss = map(np.array, zip(*rows))
+    history = {
+        "loss": np.zeros(len(rows)),  # not written
+        "ped_index": ped_index,
+        "ped_loss": ped_loss,
+        "bg_index": bg_index,
+        "bg_loss": bg_loss,
+    }
+    path = tmp_path_factory.mktemp("history") / "history.jsonl"
+    write_history(history, path)
+    expected = "".join(
+        json.dumps({"step": step, "loss": loss, "selected": index, "label": label}) + "\n"
+        for step, (p_index, p_loss, b_index, b_loss) in enumerate(rows)
+        for loss, index, label in ((p_loss, p_index, 1), (b_loss, b_index, 0))
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 def reference_train(pedestrians, backgrounds, codebook, config):
     """``train_hints`` as it was before the rank-2 ``w1`` update.
 
-    Same initializations, routing and sample draws; each sample's dense
-    ``w1`` gradient is formed with ``np.outer``, the two are summed, scaled
-    and subtracted.
+    Same initializations, routing and sample draws; each sample is
+    forwarded on its own, its dense ``w1`` gradient is formed with
+    ``np.outer``, the two are summed, scaled and subtracted in every step.
     """
     hints = init_hints(codebook.n, codebook.dim, config.seed)
     clf = init_classifier(codebook.dim, config.hidden, config.seed + 1)
     rng = np.random.default_rng(config.seed + 2)
     ped_routes = route(pedestrians.vectors, codebook).tolist()
     bg_routes = route(backgrounds.vectors, codebook).tolist()
-    history = []
+    rows = []
     lr = config.lr
     for _ in range(config.steps):
         ped = ped_routes[int(rng.integers(len(ped_routes)))]
@@ -393,18 +442,12 @@ def reference_train(pedestrians, backgrounds, codebook, config):
         clf.b1 -= lr * (g0.b1 + g1.b1)
         clf.w2 -= lr * (g0.w2 + g1.w2)
         clf.b2 = clf.b2 - lr * (g0.b2 + g1.b2)
-        hints.hints[ped] -= lr * g0.hint
-        hints.hints[bg] -= lr * g1.hint
-        history.append(
-            StepRecord(
-                loss=losses[0] + losses[1],
-                ped_index=ped,
-                ped_loss=losses[0],
-                bg_index=bg,
-                bg_loss=losses[1],
-            )
-        )
-    return hints, clf, history
+        if config.train_hints:
+            hints.hints[ped] -= lr * g0.hint
+            hints.hints[bg] -= lr * g1.hint
+        rows.append((losses[0] + losses[1], ped, losses[0], bg, losses[1]))
+    columns = ("loss", "ped_index", "ped_loss", "bg_index", "bg_loss")
+    return hints, clf, dict(zip(columns, map(np.array, zip(*rows))))
 
 
 def normalized_fixture():
@@ -418,26 +461,42 @@ def normalized_fixture():
     return peds, bgs, codebook, TrainConfig(lr=0.1, steps=500, seed=5, hidden=32)
 
 
-@pytest.mark.parametrize("case", ["separable", "normalized"])
+# (fixture, steps, train hints): 500 steps as in the golden runs, and step
+# counts that leave a partial block of deferred w1 updates for the flush
+# after the last step.
+TRACKED_RUNS = {
+    "separable": ("separable", 500, True),
+    "normalized": ("normalized", 500, True),
+    "separable-1-step": ("separable", 1, True),
+    "normalized-block-minus-1": ("normalized", W1_BLOCK_STEPS - 1, True),
+    "separable-block-plus-1": ("separable", W1_BLOCK_STEPS + 1, True),
+    "normalized-2-blocks-plus-3": ("normalized", 2 * W1_BLOCK_STEPS + 3, True),
+    "separable-hints-off": ("separable", 2 * W1_BLOCK_STEPS + 3, False),
+}
+
+
+@pytest.mark.parametrize("case", list(TRACKED_RUNS))
 def test_rank_two_update_tracks_the_outer_product_reference(separable, case):
-    if case == "separable":
+    fixture, steps, hints_on = TRACKED_RUNS[case]
+    if fixture == "separable":
         peds, bgs, codebook = separable
         config = TrainConfig(lr=0.1, steps=500, seed=2)
     else:
         peds, bgs, codebook, config = normalized_fixture()
+    config = dataclasses.replace(config, steps=steps, train_hints=hints_on)
     hint_set, clf, history = train_hints(peds, bgs, codebook, config)
     ref_hints, ref_clf, ref_history = reference_train(peds, bgs, codebook, config)
-    assert [(r.ped_index, r.bg_index) for r in history] == [
-        (r.ped_index, r.bg_index) for r in ref_history
-    ]
+    for field in ("ped_index", "bg_index"):
+        np.testing.assert_array_equal(history[field], ref_history[field])
     for field in ("loss", "ped_loss", "bg_loss"):
-        np.testing.assert_allclose(
-            [getattr(r, field) for r in history],
-            [getattr(r, field) for r in ref_history],
-            rtol=0,
-            atol=1e-12,
+        assert len(history[field]) == steps
+        np.testing.assert_allclose(history[field], ref_history[field], rtol=0, atol=1e-12)
+    if hints_on:
+        np.testing.assert_allclose(hint_set.hints, ref_hints.hints, rtol=0, atol=1e-12)
+    else:
+        np.testing.assert_array_equal(
+            hint_set.hints, init_hints(codebook.n, codebook.dim, config.seed).hints
         )
-    np.testing.assert_allclose(hint_set.hints, ref_hints.hints, rtol=0, atol=1e-12)
     for name in ("w1", "b1", "w2", "b2"):
         np.testing.assert_allclose(getattr(clf, name), getattr(ref_clf, name), rtol=0, atol=1e-12)
 
@@ -456,3 +515,30 @@ def test_rank_two_product_equals_summed_outer_products(separable):
     dense = lr * (g0.w1 + g1.w1)
     assert np.count_nonzero(dense) > 0
     assert np.max(np.abs(product - dense)) <= 1e-15 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("pending", [0, 6])
+def test_two_rows_at_once_equal_two_single_rows(pending):
+    # Training forwards and back-propagates its two samples as one k = 2
+    # call; forward_classify and backward make k = 1 calls. Errors are
+    # relative to the largest value of the pass: the logit is a sum with
+    # cancellation, so it alone can hold a larger relative rounding error.
+    rng = np.random.default_rng(29)
+    dim, hidden = 64, 32
+    clf = init_classifier(dim, hidden, seed=29)
+    b1 = rng.normal(scale=0.1, size=hidden)
+    x = rng.normal(size=(2, dim))
+    factors = (rng.normal(scale=1e-2, size=(hidden, pending)), rng.normal(size=(pending, dim)))
+    factors = factors if pending else ()
+    labels = (1, 0)
+    forward = _forward(x, clf.w1, b1, clf.w2, 0.3, *factors)
+    grads = _backward(*forward[:2], forward[2].tolist(), labels, clf.w1, clf.w2, *factors)
+    for row in range(2):
+        forward1 = _forward(x[row:row + 1], clf.w1, b1, clf.w2, 0.3, *factors)
+        grads1 = _backward(
+            *forward1[:2], forward1[2].tolist(), labels[row:row + 1], clf.w1, clf.w2, *factors
+        )
+        for both, one in ((forward, forward1), (grads, grads1)):
+            paired = np.concatenate([np.ravel(out[row]) for out in both])
+            single = np.concatenate([np.ravel(out[0]) for out in one])
+            assert np.max(np.abs(paired - single)) <= 1e-15 * np.max(np.abs(single))
