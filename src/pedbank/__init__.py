@@ -53,7 +53,6 @@ from .quantizer import (
     Codebook,
     KMeansConfig,
     assignment_report,
-    kmeans,
     kmeans_with_objectives,
     quantize,
 )

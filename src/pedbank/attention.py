@@ -26,6 +26,7 @@ from .errors import (
     ParseError,
     PreconditionError,
     check_array,
+    check_seed,
     check_sizes,
     owned_readonly,
 )
@@ -102,6 +103,7 @@ class AttentionParams:
 
     def __post_init__(self):
         check_sizes(heads=self.heads, d_model=self.d_model)
+        object.__setattr__(self, "eps", float(check_array("eps", self.eps)))
         if not self.eps > 0:
             raise PreconditionError("eps must be positive")
         for name in ("w_q", "w_k"):  # c and d are read off these two
@@ -151,6 +153,7 @@ def init_attention(
 ) -> AttentionParams:
     """Seeded 1/sqrt(fan-in) projections with an identity layer-norm affine."""
     check_sizes(c=c, d=d, d_m=d_m, heads=heads)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     w_q = rng.normal(0.0, 1.0 / np.sqrt(c), size=(heads, c, d_m))
     w_k = rng.normal(0.0, 1.0 / np.sqrt(d), size=(heads, d, d_m))

@@ -30,6 +30,12 @@ EXIT_PRECONDITION = 4
 EXIT_THRESHOLD = 5
 EXIT_IO = 6
 
+# The exit code of each error class, most specific first: the first match wins.
+EXIT_CODES = (
+    (ParseError, EXIT_PARSE), (DimensionError, EXIT_DIMENSION),
+    (PreconditionError, EXIT_PRECONDITION), (OSError, EXIT_IO), (PedbankError, EXIT_OTHER),
+)
+
 
 def _entropy(counts: np.ndarray) -> float:
     total = counts.sum()
@@ -74,7 +80,7 @@ def cmd_build_bank(args) -> int:
         raise PreconditionError(
             "building a bank requires both pedestrian and background records"
         )
-    codebook = quantizer.kmeans(
+    codebook, _ = quantizer.kmeans_with_objectives(
         pedestrians,
         quantizer.KMeansConfig(
             n=args.n, max_iters=args.max_iters, tol=args.tol, seed=args.seed
@@ -280,21 +286,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (PedbankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except PedbankError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OTHER
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .errors import DimensionError, ParseError, PreconditionError, check_array, check_sizes
+from .errors import (
+    DimensionError, ParseError, PreconditionError, check_array, check_seed, check_sizes,
+)
 
 PEDESTRIAN = "pedestrian"
 BACKGROUND = "background"
@@ -160,8 +162,10 @@ def generate_synthetic(
     indistinguishable.
     """
     check_sizes(pedestrians=pedestrians, backgrounds=backgrounds)
+    check_seed(seed)
     if dim < 2:
         raise PreconditionError("dim must be at least 2")
+    separation = float(check_array("separation", separation))
     if separation < 0:
         raise PreconditionError("separation must be nonnegative")
     rng = np.random.default_rng(seed)

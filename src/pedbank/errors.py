@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, the one size rule and
-the one array rule that every constructor applies to its inputs, and the
+"""Exception hierarchy shared across the package, the one size rule, seed
+rule and array rule that every constructor applies to its inputs, and the
 ownership rule of the classes that keep read-only arrays."""
 
 import numpy as np
@@ -29,6 +29,13 @@ def check_sizes(**sizes) -> None:
     """Raise ``PreconditionError`` unless every size is an int (not a bool) of at least 1."""
     if any(type(size) is not int or size < 1 for size in sizes.values()):
         raise PreconditionError(f"{' and '.join(sizes)} must be positive integers")
+
+
+def check_seed(seed) -> None:
+    """Raise ``PreconditionError`` unless ``seed`` is a Python or NumPy int (not a
+    bool) of at least 0, a seed ``numpy.random.default_rng`` takes."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise PreconditionError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def check_array(name: str, value, shape: tuple = ()) -> np.ndarray:

@@ -6,12 +6,8 @@ scores pedestrian versus background. Codewords stay frozen: gradients flow
 only into the classifier and the hint row selected by the routing argmax.
 Every training step draws one pedestrian and one background sample, runs
 both through the classifier as the two rows of one forward and backward
-pass, sums their two loss gradients, and applies a single SGD update. The
-rank-two ``w1`` part of that update is deferred: blocks of
-``W1_BLOCK_STEPS`` steps keep it as low-rank factors that the forward and
-backward read through, and apply it with one matrix product per block, so
-a step streams ``w1`` from memory once per direction instead of four times
-and does not rewrite it.
+pass, sums their two loss gradients, and applies a single SGD update whose
+rank-two ``w1`` part is deferred (see ``train_hints``).
 """
 
 from __future__ import annotations
@@ -23,7 +19,9 @@ import numpy as np
 
 from . import jsonio
 from .embeddings import EmbeddingDataset
-from .errors import DimensionError, NumericalError, PreconditionError, check_array, check_sizes
+from .errors import (
+    DimensionError, NumericalError, PreconditionError, check_array, check_seed, check_sizes,
+)
 from .quantizer import Codebook, route
 
 
@@ -85,9 +83,11 @@ class TrainConfig:
     train_hints: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "lr", float(check_array("lr", self.lr)))
         if not self.lr > 0:
             raise PreconditionError("lr must be positive")
         check_sizes(steps=self.steps, hidden=self.hidden)
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,7 @@ class ClassifierGrads:
 def init_hints(n: int, dim: int, seed: int) -> HintSet:
     """Zero-mean Gaussian hints at scale 0.01, deterministic per seed."""
     check_sizes(n=n, dim=dim)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     return HintSet(n=n, dim=dim, hints=rng.normal(0.0, 0.01, size=(n, dim)))
 
@@ -132,6 +133,7 @@ def init_hints(n: int, dim: int, seed: int) -> HintSet:
 def init_classifier(dim: int, hidden: int, seed: int) -> ClassifierParams:
     """1/sqrt(fan-in) Gaussian weights, zero biases, deterministic per seed."""
     check_sizes(dim=dim, hidden=hidden)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     w1 = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(hidden, dim))
     w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(1, hidden))

@@ -111,23 +111,26 @@ def read_array(doc: dict, key: str, where, shape: tuple) -> np.ndarray:
 
 
 def write_documents(path, docs) -> None:
-    """Write each document as one line of JSON.
+    """Write each document as one line of JSON, through ``replacing``.
 
     Values that are NumPy arrays must be float64 and finite; every other
-    value goes through ``json.dumps``. All documents are checked before the
-    file is opened, so a rejected write (``ValueError``) leaves an existing
-    file as it was, and the text is written through ``replacing``, so a
-    write that fails later does too.
+    value goes through ``json.dumps``. Each array is checked right before it
+    is streamed, and a rejected value (``ValueError``) or any later failure
+    removes the new file, so an existing file keeps its bytes; a pipe or a
+    device, written in place, may have received part of the text.
     """
-    parts = [_document_parts(doc) for doc in docs]
     with replacing(path) as fh:
-        for doc_parts in parts:
-            for part in doc_parts:
-                if isinstance(part, str):
-                    fh.write(part)
+        for doc in docs:
+            fh.write("{")
+            for i, (key, value) in enumerate(sorted(doc.items())):
+                fh.write((", " if i else "") + json.dumps(key) + ": ")
+                if isinstance(value, np.ndarray):
+                    if value.dtype != np.float64 or not np.isfinite(value).all():
+                        raise ValueError(f"{key} must be a finite float64 array")
+                    _write_array(fh, value)
                 else:
-                    _write_array(fh, part)
-            fh.write("\n")
+                    fh.write(json.dumps(value, sort_keys=True, allow_nan=False))
+            fh.write("}\n")
 
 
 @contextlib.contextmanager
@@ -165,22 +168,6 @@ def replacing(path):
     except BaseException:
         os.unlink(temporary)
         raise
-
-
-def _document_parts(doc: dict) -> list:
-    """The text of ``doc`` as strings with its arrays left in place, in
-    ``json.dumps(doc, sort_keys=True)`` order and separators."""
-    parts, text = [], "{"
-    for i, (key, value) in enumerate(sorted(doc.items())):
-        text += (", " if i else "") + json.dumps(key) + ": "
-        if isinstance(value, np.ndarray):
-            if value.dtype != np.float64 or not np.isfinite(value).all():
-                raise ValueError(f"{key} must be a finite float64 array")
-            parts += [text, value]
-            text = ""
-        else:
-            text += json.dumps(value, sort_keys=True, allow_nan=False)
-    return parts + [text + "}"]
 
 
 def _write_array(fh, arr: np.ndarray) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingDataset
-from .errors import DimensionError, PreconditionError, check_array, check_sizes
+from .errors import DimensionError, PreconditionError, check_array, check_seed, check_sizes
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,8 @@ class KMeansConfig:
 
     def __post_init__(self):
         check_sizes(n=self.n, max_iters=self.max_iters)
+        check_seed(self.seed)
+        object.__setattr__(self, "tol", float(check_array("tol", self.tol)))
         if not self.tol >= 0:
             raise PreconditionError("tol must be nonnegative")
 
@@ -121,12 +123,6 @@ def kmeans_with_objectives(
         if improvement < config.tol:
             break
     return Codebook(n=config.n, dim=int(X.shape[1]), centroids=centroids), objectives
-
-
-def kmeans(points: EmbeddingDataset, config: KMeansConfig) -> Codebook:
-    """Cluster into ``config.n`` codewords under squared Euclidean distance."""
-    codebook, _ = kmeans_with_objectives(points, config)
-    return codebook
 
 
 def route(points: np.ndarray, codebook: Codebook) -> np.ndarray:

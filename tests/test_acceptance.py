@@ -22,7 +22,7 @@ from pedbank.cli import EXIT_OK, main
 from pedbank.embeddings import generate_synthetic, parse_embedding_file, split_by_label
 from pedbank.gradcheck import attention_check, classifier_check
 from pedbank.hints import TrainConfig, forward_classify, init_hints, train_hints
-from pedbank.quantizer import Codebook, KMeansConfig, kmeans, kmeans_with_objectives, quantize
+from pedbank.quantizer import Codebook, KMeansConfig, kmeans_with_objectives, quantize
 
 from support import make_dataset, random_bank
 
@@ -85,7 +85,7 @@ def test_hint_training_learns_separable_data(tmp_path):
         seed=2, pedestrians=600, backgrounds=400, dim=16, separation=SEPARATION
     )
     peds, bgs = split_by_label(train)
-    codebook = kmeans(peds, KMeansConfig(n=4, seed=2))
+    codebook = kmeans_with_objectives(peds, KMeansConfig(n=4, seed=2))[0]
     hint_set, clf, history = train_hints(
         peds, bgs, codebook, TrainConfig(lr=0.1, steps=2000, seed=2)
     )

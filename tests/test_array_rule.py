@@ -5,10 +5,10 @@ import pytest
 
 from pedbank.attention import AttentionParams, FeatureBatch, attention_gradients, init_attention
 from pedbank.bank import KnowledgeBank
-from pedbank.embeddings import PEDESTRIAN, EmbeddingDataset
+from pedbank.embeddings import PEDESTRIAN, EmbeddingDataset, generate_synthetic
 from pedbank.errors import DimensionError, PreconditionError, check_array, owned_readonly
-from pedbank.hints import ClassifierParams, HintSet
-from pedbank.quantizer import Codebook, quantize
+from pedbank.hints import ClassifierParams, HintSet, TrainConfig, init_classifier, init_hints
+from pedbank.quantizer import Codebook, KMeansConfig, quantize
 
 PARAMS = init_attention(c=2, d=2, d_m=1, heads=1, seed=0)
 PARAM_ARRAYS = {
@@ -149,3 +149,73 @@ def test_owned_readonly_copies_only_what_a_caller_could_still_write():
     kept_view = owned_readonly(view)
     assert kept_view is not view and kept_view.base is None
     np.testing.assert_array_equal(kept_view, view)
+
+
+# scalar setting -> (a valid value, a builder that passes the value in and
+# returns the value kept, or for generate_synthetic the vectors it drew)
+SCALAR_SETTINGS = {
+    "TrainConfig.lr": (0.1, lambda v: TrainConfig(lr=v, steps=3).lr),
+    "KMeansConfig.tol": (1e-6, lambda v: KMeansConfig(n=2, tol=v).tol),
+    "AttentionParams.eps": (
+        1e-5, lambda v: AttentionParams(heads=1, d_model=1, eps=v, **PARAM_ARRAYS).eps
+    ),
+    "generate_synthetic separation": (
+        8.0,
+        lambda v: generate_synthetic(
+            seed=0, pedestrians=1, backgrounds=1, dim=2, separation=v
+        ).vectors,
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+@pytest.mark.parametrize("setting", SCALAR_SETTINGS)
+def test_scalar_setting_rejects_what_the_array_rule_rejects(setting, bad):
+    valid, build = SCALAR_SETTINGS[setting]
+    make, error, message = BAD_VALUES[bad]
+    with pytest.raises(error, match=message):
+        build(make(valid))
+
+
+@pytest.mark.parametrize("setting", SCALAR_SETTINGS)
+def test_scalar_setting_rejects_infinity(setting):
+    _, build = SCALAR_SETTINGS[setting]
+    with pytest.raises(PreconditionError, match="must be finite"):
+        build(float("inf"))
+
+
+@pytest.mark.parametrize("setting", SCALAR_SETTINGS)
+def test_scalar_setting_keeps_the_bits_of_a_valid_value(setting):
+    valid, build = SCALAR_SETTINGS[setting]
+    near = np.nextafter(valid, np.inf)  # one ulp away, as a NumPy scalar
+    kept = build(near)
+    reference = build(float(near))
+    if setting.startswith("generate_synthetic"):
+        np.testing.assert_array_equal(kept, reference)
+        np.testing.assert_array_equal(build(8), build(8.0))
+    else:
+        assert type(kept) is float and kept.hex() == float(near).hex() == reference.hex()
+
+
+# every place that takes a seed -> a builder that passes the seed in
+SEEDED = {
+    "KMeansConfig": lambda s: KMeansConfig(n=2, seed=s),
+    "TrainConfig": lambda s: TrainConfig(lr=0.1, steps=1, seed=s),
+    "init_hints": lambda s: init_hints(n=1, dim=2, seed=s),
+    "init_classifier": lambda s: init_classifier(dim=2, hidden=1, seed=s),
+    "init_attention": lambda s: init_attention(c=2, d=2, d_m=1, heads=1, seed=s),
+    "generate_synthetic": lambda s: generate_synthetic(seed=s, pedestrians=1, backgrounds=1, dim=2),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-1), True, 1.0, "1", None])
+@pytest.mark.parametrize("site", SEEDED)
+def test_seed_rule_rejects_what_is_not_a_nonnegative_integer(site, seed):
+    with pytest.raises(PreconditionError, match="seed must be a nonnegative integer"):
+        SEEDED[site](seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), 2**64])
+@pytest.mark.parametrize("site", SEEDED)
+def test_seed_rule_accepts_nonnegative_integers(site, seed):
+    SEEDED[site](seed)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -10,11 +11,12 @@ import pytest
 
 from pedbank.attention import init_attention, layer_norm, load_feature_batch, save_attention_params, save_feature_batch, FeatureBatch
 from pedbank.bank import KnowledgeBank, load_bank, save_bank
-from pedbank import jsonio
+from pedbank import gradcheck, jsonio
 from pedbank.cli import (
     EXIT_DIMENSION,
     EXIT_IO,
     EXIT_OK,
+    EXIT_OTHER,
     EXIT_PARSE,
     EXIT_PRECONDITION,
     EXIT_THRESHOLD,
@@ -27,8 +29,9 @@ from pedbank.embeddings import (
     split_by_label,
     write_embedding_file,
 )
+from pedbank.errors import DimensionError, NumericalError, ParseError, PedbankError, PreconditionError
 from pedbank.hints import TrainConfig, forward_classify, init_hints, train_hints
-from pedbank.quantizer import Codebook, KMeansConfig, assignment_report, kmeans, quantize
+from pedbank.quantizer import Codebook, KMeansConfig, assignment_report, kmeans_with_objectives, quantize
 
 from support import random_bank
 
@@ -191,6 +194,15 @@ class TestBuildBank:
 
     def test_missing_file(self, tmp_path):
         assert run("build-bank", tmp_path / "absent.jsonl", tmp_path / "bank.json") == EXIT_IO
+
+    def test_divergent_training_exits_1_naming_the_step(self, tmp_path, embeddings_file, capsys):
+        bank_path = tmp_path / "bank.json"
+        assert run(
+            "build-bank", embeddings_file, bank_path, "--n", 4, "--no-normalize", "--lr", 1e6
+        ) == EXIT_OTHER
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: non-finite (logit|loss) at step \d+ \(.*\)\n", err), err
+        assert not bank_path.exists()
 
 
 class TestInspect:
@@ -370,6 +382,33 @@ class TestComplement:
         assert (tmp_path / "pooled.json").read_bytes() == (tmp_path / "in_process.json").read_bytes()
 
 
+@pytest.mark.parametrize("error, code", [
+    (ParseError("bad format"), EXIT_PARSE),
+    (DimensionError("bad shape"), EXIT_DIMENSION),
+    (PreconditionError("bad input"), EXIT_PRECONDITION),
+    (FileNotFoundError(2, "No such file or directory", "absent.json"), EXIT_IO),
+    (PermissionError(13, "Permission denied", "locked.json"), EXIT_IO),
+    (NumericalError("non-finite"), EXIT_OTHER),
+    (PedbankError("other"), EXIT_OTHER),
+], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value))
+def test_each_error_class_exits_with_its_documented_code(error, code, monkeypatch, capsys):
+    def fail(**kwargs):
+        raise error
+
+    monkeypatch.setattr(gradcheck, "classifier_check", fail)
+    assert run("gradcheck") == code
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_an_error_outside_the_table_propagates(monkeypatch):
+    def fail(**kwargs):
+        raise ValueError("not a package error")
+
+    monkeypatch.setattr(gradcheck, "classifier_check", fail)
+    with pytest.raises(ValueError, match="not a package error"):
+        run("gradcheck")
+
+
 class TestGradcheck:
     def test_passes_at_default_tolerance(self, capsys):
         assert run("gradcheck", "--seed", 2) == EXIT_OK
@@ -391,7 +430,7 @@ class TestIndistinguishableControl:
             "--d", 16, "--separation", 0.0,
         ) == EXIT_OK
         peds, bgs = split_by_label(parse_embedding_file(train_file))
-        codebook = kmeans(peds, KMeansConfig(n=4, seed=2))
+        codebook = kmeans_with_objectives(peds, KMeansConfig(n=4, seed=2))[0]
         hint_set, clf, _ = train_hints(
             peds, bgs, codebook, TrainConfig(lr=0.1, steps=400, seed=2)
         )

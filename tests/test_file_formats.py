@@ -270,3 +270,36 @@ def test_a_rejected_document_leaves_an_existing_file_unchanged(tmp_path, doc):
     with pytest.raises(ValueError):
         jsonio.write_documents(path, docs)
     assert path.read_bytes() == b"previous bytes\n"
+
+
+@pytest.mark.parametrize("docs", [
+    [{}],
+    [{"data": np.arange(6.0).reshape(2, 3)}],
+    [{"data": np.empty((3, 0))}, {"data": np.empty((2, 0, 4)), "n": 2}],
+    [],
+], ids=["empty-document", "only-an-array", "zero-length-inner-axis", "no-documents"])
+def test_edge_documents_match_json_dumps(tmp_path, docs):
+    jsonio.write_documents(tmp_path / "d.json", docs)
+    assert (tmp_path / "d.json").read_text() == "".join(map(reference_line, docs))
+
+
+def test_documents_may_come_from_a_generator(tmp_path):
+    docs = [{"i": i, "data": np.full((2, 2), float(i))} for i in range(3)]
+    jsonio.write_documents(tmp_path / "d.json", (doc for doc in docs))
+    assert (tmp_path / "d.json").read_text() == "".join(map(reference_line, docs))
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing-file", "new-file"])
+@pytest.mark.parametrize("bad", [
+    np.array([1.0, np.nan]), np.array([1, 2]), float("inf"),
+], ids=["nan-array", "int-array", "inf-scalar"])
+def test_a_rejected_document_leaves_no_temporary_file(tmp_path, existing, bad):
+    path = tmp_path / "d.json"
+    if existing:
+        path.write_bytes(b"previous bytes\n")
+    docs = ({"data": np.zeros(3)}, {"a": 1.0, "data": bad})  # rejected part way through
+    with pytest.raises(ValueError):
+        jsonio.write_documents(path, iter(docs))
+    assert os.listdir(tmp_path) == (["d.json"] if existing else [])
+    if existing:
+        assert path.read_bytes() == b"previous bytes\n"

@@ -31,7 +31,7 @@ from pedbank.hints import (
     train_hints,
     write_history,
 )
-from pedbank.quantizer import Codebook, KMeansConfig, kmeans, quantize, route
+from pedbank.quantizer import Codebook, KMeansConfig, kmeans_with_objectives, quantize, route
 
 from support import make_dataset
 
@@ -215,7 +215,7 @@ def separable():
         seed=2, pedestrians=600, backgrounds=400, dim=16, separation=SEPARATION
     )
     peds, bgs = split_by_label(train)
-    codebook = kmeans(peds, KMeansConfig(n=4, seed=2))
+    codebook = kmeans_with_objectives(peds, KMeansConfig(n=4, seed=2))[0]
     return peds, bgs, codebook
 
 
@@ -351,7 +351,7 @@ def test_training_matches_golden_digests(separable, tmp_path):
         ids=raw.ids, labels=raw.labels, vectors=[l2_normalize(vector) for vector in raw.vectors]
     )
     peds, bgs = split_by_label(normalized)
-    codebook = kmeans(peds, KMeansConfig(n=8, seed=5))
+    codebook = kmeans_with_objectives(peds, KMeansConfig(n=8, seed=5))[0]
     config = TrainConfig(lr=0.1, steps=500, seed=5, hidden=32)
     assert training_digests(peds, bgs, codebook, config, tmp_path / "b.jsonl") == (
         GOLDEN_TRAINING["normalized"]
@@ -361,7 +361,7 @@ def test_training_matches_golden_digests(separable, tmp_path):
 def test_write_history_json_lines(tmp_path):
     train = generate_synthetic(seed=2, pedestrians=40, backgrounds=30, dim=8, separation=SEPARATION)
     peds, bgs = split_by_label(train)
-    codebook = kmeans(peds, KMeansConfig(n=3, seed=2))
+    codebook = kmeans_with_objectives(peds, KMeansConfig(n=3, seed=2))[0]
     _, _, history = train_hints(peds, bgs, codebook, TrainConfig(lr=0.1, steps=3, seed=4))
     path = tmp_path / "history.jsonl"
     write_history(history, path)
@@ -457,7 +457,7 @@ def normalized_fixture():
         ids=raw.ids, labels=raw.labels, vectors=[l2_normalize(vector) for vector in raw.vectors]
     )
     peds, bgs = split_by_label(normalized)
-    codebook = kmeans(peds, KMeansConfig(n=8, seed=5))
+    codebook = kmeans_with_objectives(peds, KMeansConfig(n=8, seed=5))[0]
     return peds, bgs, codebook, TrainConfig(lr=0.1, steps=500, seed=5, hidden=32)
 
 

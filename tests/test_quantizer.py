@@ -9,7 +9,6 @@ from pedbank.quantizer import (
     Codebook,
     KMeansConfig,
     assignment_report,
-    kmeans,
     kmeans_with_objectives,
     quantize,
 )
@@ -76,17 +75,17 @@ class TestKMeans:
         pts = np.random.default_rng(4).normal(size=(60, 3))
         ds = make_dataset(pts)
         for seed in (0, 1, 2):
-            cb = kmeans(ds, KMeansConfig(n=5, seed=seed))
+            cb = kmeans_with_objectives(ds, KMeansConfig(n=5, seed=seed))[0]
             assert cb.centroids.shape == (5, 3)
 
     def test_rejects_fewer_distinct_points_than_n(self):
         pts = [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]
         with pytest.raises(PreconditionError, match="distinct"):
-            kmeans(make_dataset(pts), KMeansConfig(n=4, seed=0))
+            kmeans_with_objectives(make_dataset(pts), KMeansConfig(n=4, seed=0))[0]
 
     def test_rejects_empty_dataset(self):
         with pytest.raises(PreconditionError, match="empty"):
-            kmeans(make_dataset([]), KMeansConfig(n=1, seed=0))
+            kmeans_with_objectives(make_dataset([]), KMeansConfig(n=1, seed=0))[0]
 
     def test_config_validation(self):
         with pytest.raises(PreconditionError):
@@ -195,7 +194,7 @@ class TestAssignmentReport:
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(300, 16))
         ds = make_dataset(pts)
-        cb = kmeans(ds, KMeansConfig(n=10, seed=5))
+        cb = kmeans_with_objectives(ds, KMeansConfig(n=10, seed=5))[0]
         counts, groups = report(ds, cb)
         assert int(counts.sum()) == 300
         for rec_id, vector in zip(ds.ids, ds.vectors):
