@@ -170,13 +170,16 @@ def layer_norm(rows, gain, bias, eps: float = 1e-5) -> np.ndarray:
     """Standardize each row over the channel axis, then apply the affine map.
 
     Uses the biased variance; ``eps`` keeps constant rows finite, and with
-    ``eps == 0`` a constant row raises ``NumericalError``.
+    ``eps == 0`` a constant row raises ``NumericalError``. ``eps`` follows
+    the array rule: a finite int or float, not a bool.
     """
     x = np.asarray(rows, dtype=np.float64)
     gain = np.asarray(gain, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     if x.shape[-1] < 2:
         raise PreconditionError("layer norm needs at least 2 channels")
+    if type(eps) is not float or not math.isfinite(eps):  # a finite float already passes
+        eps = float(check_array("eps", eps))
     if eps < 0:
         raise PreconditionError("eps must be nonnegative")
     if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
@@ -324,7 +327,7 @@ def attention_gradients(
 
 def load_feature_batch(path) -> FeatureBatch:
     """Parse a feature batch file: mode, m, h, w, c, and flat row-major data."""
-    doc = jsonio.read_document(path, ("mode", "m", "h", "w", "c", "data"))
+    doc = jsonio.read_document(path, ("mode", "m", "h", "w", "c", "data"), flat="data")
     mode = doc["mode"]
     if mode not in MODES:
         raise ParseError(f"{path}: mode must be one of {MODES}, got {mode!r}")

@@ -72,22 +72,41 @@ def parse_embedding_file(path, normalize: bool = False) -> EmbeddingDataset:
     Every line must be an object with exactly the keys ``id``, ``label``,
     and ``vector``; the dataset dimension is inferred from the first
     record. With ``normalize`` set, each vector is L2-normalized at
-    ingestion. Errors name the offending 1-based line.
+    ingestion. Errors name the offending 1-based line. A large file is
+    parsed on every CPU (``jsonio.map_lines``); where a part fails, or the
+    parts disagree on the dimension or share an id, the file is parsed
+    again in this process, so the result and every error are the same.
     """
+    parts = jsonio.map_lines(path, _parse_lines, path, normalize)
+    ids = [rec_id for part in parts or () for rec_id in part[0]]
+    if parts is None or len({part[3] for part in parts}) > 1 or len(set(ids)) < len(ids):
+        parts = [_parse_lines(jsonio.read_lines(path), path, normalize)]
+        ids = parts[0][0]
+    labels = [label for part in parts for label in part[1]]
+    dim = parts[0][3] or 0
+    rows = bytearray().join(part[2] for part in parts) if len(parts) > 1 else parts[0][2]
+    del parts  # the dataset copies ``rows``: keep no third copy of the vectors meanwhile
+    vectors = np.frombuffer(rows).reshape(len(ids), dim)
+    return EmbeddingDataset(ids=tuple(ids), labels=tuple(labels), vectors=vectors)
+
+
+def _parse_lines(lines, path, normalize: bool):
+    """The ids, labels, float64 bytes of the vectors and the dimension of the
+    records in ``lines``, ``(lineno, line)`` pairs; errors name the line."""
     ids: list[str] = []
     labels: list[str] = []
     rows = bytearray()  # float64 bytes of every vector in line order: one buffer, not an array per row
     dim: int | None = None
     seen: set[str] = set()
-    for lineno, raw in jsonio.read_lines(path):
+    for lineno, raw in lines:
         where = f"{path}: line {lineno}"
         line = raw.strip()
         if not line:
             raise ParseError(f"{where}: blank line")
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{where}: invalid JSON ({exc.msg})") from exc
+        except ValueError as exc:  # also an integer longer than int() takes
+            raise ParseError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(obj, dict) or set(obj) != {"id", "label", "vector"}:
             raise ParseError(f"{where}: expected an object with keys id, label, vector")
         rec_id, label = obj["id"], obj["label"]
@@ -111,8 +130,7 @@ def parse_embedding_file(path, normalize: bool = False) -> EmbeddingDataset:
         ids.append(rec_id)
         labels.append(label)
         rows += vec.tobytes()
-    vectors = np.frombuffer(rows).reshape(len(ids), dim or 0)
-    return EmbeddingDataset(ids=tuple(ids), labels=tuple(labels), vectors=vectors)
+    return ids, labels, rows, dim
 
 
 def write_embedding_file(dataset: EmbeddingDataset, path) -> None:
@@ -161,7 +179,7 @@ def generate_synthetic(
     splits for each other. ``separation`` 0 makes the labels statistically
     indistinguishable.
     """
-    check_sizes(pedestrians=pedestrians, backgrounds=backgrounds)
+    check_sizes(pedestrians=pedestrians, backgrounds=backgrounds, dim=dim)
     check_seed(seed)
     if dim < 2:
         raise PreconditionError("dim must be at least 2")

@@ -12,9 +12,16 @@ round-trip floats, so the same object always produces the same bytes,
 ``json.dumps(doc, sort_keys=True, allow_nan=False)`` of the nested lists.
 Each array is streamed to the file in chunks of whole first-axis items,
 about ``CHUNK_VALUES`` values each.
-An array of at least ``POOL_MIN_VALUES`` values, on a platform that reports
-more than one CPU available to the process, has its chunks formatted in
-forked worker processes; the bytes do not depend on which way ran.
+
+Large inputs are read and written on every CPU, by one size rule (at least
+``POOL_MIN_VALUES`` values, on a platform that reports more than one CPU
+available to the process) and through one map, ``_pooled_map``, which forks
+its workers: they format the chunks of a large array, and they parse a
+large JSON-lines file (``map_lines``) or the flat array of a large document
+(``read_document``) in parts of about ``CHUNK_VALUES`` values. The bytes
+written, the arrays read and every error do not depend on which way ran: a
+reader whose parts break a rule, or that meets a layout a cut could misread,
+parses the whole file again in this process, which decides.
 Every writer of the package goes through ``replacing``, so a failed write
 leaves an existing file as it was.
 """
@@ -22,26 +29,40 @@ leaves an existing file as it was.
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import json
 import math
 import os
+import pickle
 import stat
+from json.decoder import WHITESPACE, scanstring
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, PedbankError
 
 _NUMBERS = {int, float}
+_ARRAYS = (list, np.ndarray)
 
 # Values formatted per chunk: about 330 kB of text, and a transient of
 # about 2 MB for the chunk's Python floats and strings.
 CHUNK_VALUES = 1 << 14
-# Smallest array whose chunks go to worker processes. Starting the workers
-# and passing chunks and text between processes costs tens of milliseconds:
-# on two CPUs, in a 250 MB process, 131 072 values took 171 ms in-process
-# and 207 ms pooled, 262 144 values 304 ms and 192 ms. The 50 x 512 bank
-# matrices stay in-process; a 100 x 7 x 7 x 256 feature batch is pooled.
+# The size rule of the writer and of both readers: the least work, in values,
+# that goes to worker processes. Starting the workers and passing work and
+# results between processes costs tens of milliseconds. On two CPUs, in a
+# 250 MB process, writing 131 072 values took 171 ms in-process and 207 ms
+# pooled, 262 144 values 304 ms and 192 ms; reading a JSON-lines file with
+# normalization and a flat array, 65 536 values took 51 and 45 ms in-process
+# against 53 and 43 ms pooled, 131 072 values 100 and 81 ms against 71 and
+# 74 ms, 262 144 values 187 and 157 ms against 136 and 138 ms. The bank and
+# parameter files stay in-process; a 1000 x 512 embeddings file and a
+# 100 x 7 x 7 x 256 feature batch are pooled, read and written.
 POOL_MIN_VALUES = 1 << 18
+# Bytes of JSON text per value, by which the readers count the values of a
+# file: a shortest round-trip float64 and its ", " separator, as
+# ``write_documents`` writes them, take 20 to 22 bytes.
+TEXT_BYTES_PER_VALUE = 20
 
 
 def read_lines(path):
@@ -53,15 +74,61 @@ def read_lines(path):
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def read_document(path, keys) -> dict:
-    """Load a JSON object from ``path`` that holds at least ``keys``."""
+def map_lines(path, function, *args) -> list | None:
+    """``function(lines, *args)`` for each range of ``path`` that holds
+    about ``CHUNK_VALUES`` values of text, cut at line breaks, in order, in
+    forked processes that read their ranges themselves. ``lines`` holds
+    ``(lineno, line)`` numbered from 1 within the range, as ``read_lines``
+    would yield them but for the line break.
+
+    ``None`` when ``path`` is not a regular file or is below the size rule,
+    when a range holds a ``\\r`` (which text mode reads as a line break) or
+    bytes that are not UTF-8, or when ``function`` raises a ``PedbankError``
+    or ``ValueError``: the caller then reads the file through ``read_lines``,
+    which decides.
+    """
+    size = os.path.getsize(path) if os.path.isfile(path) else 0  # a pipe is read once, in order
+    values = size // TEXT_BYTES_PER_VALUE
+    if _workers(values, _cpus()) < 2:
+        return None
+    step = CHUNK_VALUES * TEXT_BYTES_PER_VALUE
+    cuts = {0, size}
+    with open(path, "rb") as fh:
+        for offset in range(step, size, step):
+            fh.seek(offset)
+            fh.readline()  # to the end of the line that holds byte ``offset``
+            cuts.add(fh.tell())
+    bounds = sorted(cuts)
+    workers = _workers(values, len(bounds) - 1)
+    if workers < 2:
+        return None
+    work = functools.partial(_map_range, function, path, args)
+    try:
+        return list(_pooled_map(work, bounds[:-1], bounds[1:], workers=workers))
+    except (PedbankError, ValueError):
+        return None
+
+
+def read_document(path, keys, flat=None) -> dict:
+    """Load a JSON object from ``path`` that holds at least ``keys``.
+
+    Where the text is above the size rule and the object's ``flat`` key holds
+    a flat array, its items are parsed on every CPU and come back as a
+    float64 array that has passed ``read_array``'s number and finiteness
+    rules. Every other layout, and an array that breaks a rule, is parsed by
+    ``json`` in this process, so the values and every error are the same.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc.msg})") from exc
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    doc = _parse_flat(text, flat) if flat is not None else None
+    if doc is None:
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:  # also an integer longer than int() takes
+            raise ParseError(f"{path}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object")
     missing = set(keys) - set(doc)
@@ -90,14 +157,17 @@ def read_array(doc: dict, key: str, where, shape: tuple) -> np.ndarray:
     """The value under ``key`` as a float64 array of ``shape``.
 
     ``None`` in ``shape`` allows any positive length on that axis; ``()``
-    reads a single number.
+    reads a single number. A flat array that ``read_document`` parsed on every
+    CPU has passed every rule but its length.
     """
     rows = [[doc[key]]]
     for axis, size in enumerate(shape):
         rows = [r for row in rows for r in row]
-        if not all(type(r) is list and (len(r) == size if size else r) for r in rows):
+        if not all(type(r) in _ARRAYS and (len(r) == size if size else len(r)) for r in rows):
             want = f"length {size}" if size else "a positive length"
             raise ParseError(f"{where}: {key} must be a number array with {want} on axis {axis}")
+    if type(doc[key]) is np.ndarray:
+        return doc[key]
     if not all(set(map(type, r)) <= _NUMBERS for r in rows):
         raise ParseError(f"{where}: {key} must hold only numbers")
     non_finite = ParseError(f"{where}: {key} has a non-finite value")
@@ -175,21 +245,8 @@ def _write_array(fh, arr: np.ndarray) -> None:
     axis-0 items in order, in worker processes when it is large."""
     step = max(1, CHUNK_VALUES // max(1, math.prod(arr.shape[1:])))
     chunks = [arr[i:i + step] for i in range(0, len(arr), step)]
-    workers = min(_cpus(), len(chunks)) if arr.size >= POOL_MIN_VALUES else 1
     fh.write("[")
-    if workers > 1:
-        # Imported here: they add about 10 ms to every import of the package.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Fork, not spawn: a worker starts from the parent's memory in
-        # milliseconds, where spawn would import NumPy and this package
-        # again. The workers run nothing but ``_format_chunk``.
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            _write_joined(fh, pool.map(_format_chunk, chunks))
-    else:
-        _write_joined(fh, map(_format_chunk, chunks))
+    _write_joined(fh, _pooled_map(_format_chunk, chunks, workers=_workers(arr.size, len(chunks))))
     fh.write("]")
 
 
@@ -211,3 +268,170 @@ def _format_chunk(chunk: np.ndarray) -> str:
 def _cpus() -> int:
     """CPUs this process may run on; 1 where the platform cannot say."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _workers(values: int, parts: int) -> int:
+    """The size rule: processes to spread ``parts`` over for work on
+    ``values`` values, one per CPU and at most one per part from
+    ``POOL_MIN_VALUES`` values on, else 1."""
+    return min(_cpus(), parts) if values >= POOL_MIN_VALUES else 1
+
+
+def _pooled_map(function, *iterables, workers: int):
+    """``map(function, *iterables)``, in order; with more than one worker,
+    the calls run in as many forked processes, each taking every
+    ``workers``-th call. ``function`` and the arguments reach the workers
+    through the fork, which copies no memory until it is written; only
+    results and exceptions go through pipes. Spawned workers would import
+    NumPy and this package again, and receive the readers' text pickled.
+
+    An exception a call raises is raised here; a worker that ends without
+    its results raises ``BrokenProcessPool``. The caller's thread reads the
+    pipes, so one thread allocates and frees the results. The executor of
+    ``concurrent.futures`` unpickles them in a thread of its own, with a
+    heap of its own: over eight parses of a 10 MB embeddings file the peak
+    resident size read 54.5 MB with it, 44.9 MB with this map and 40.9 MB
+    with no workers.
+    """
+    calls = list(zip(*iterables))
+    if workers < 2:
+        yield from itertools.starmap(function, calls)
+        return
+    import fcntl
+
+    children = []
+    try:
+        for k in range(workers):
+            readable, writable = os.pipe()
+            if hasattr(fcntl, "F_SETPIPE_SZ"):
+                # room for three chunks of text: a worker formats its next
+                # chunk while this process still writes the previous ones
+                with contextlib.suppress(OSError):
+                    fcntl.fcntl(writable, fcntl.F_SETPIPE_SZ, 1 << 20)
+            pid = os.fork()
+            if pid == 0:
+                os.close(readable)
+                _serve(function, calls[k::workers], writable)
+            os.close(writable)
+            children.append((pid, open(readable, "rb")))
+        for i in range(len(calls)):
+            try:
+                ok, result = pickle.load(children[i % workers][1])
+            except (EOFError, pickle.UnpicklingError):
+                from concurrent.futures.process import BrokenProcessPool
+
+                raise BrokenProcessPool("a worker ended before sending its results") from None
+            if not ok:
+                raise result
+            yield result
+    finally:
+        for pid, pipe in children:
+            pipe.close()  # a worker still writing gets EPIPE and ends
+            os.waitpid(pid, 0)
+
+
+def _serve(function, calls, writable: int) -> None:
+    """The body of a worker of ``_pooled_map``: send ``(True, result)`` for
+    each call in order, or ``(False, exception)`` and stop; then end the
+    process without running the parent's exit handlers or flushing its
+    buffers."""
+    status = 1
+    try:
+        with open(writable, "wb") as pipe:
+            for args in calls:
+                try:
+                    reply = (True, function(*args))
+                except Exception as exc:
+                    reply = (False, exc)
+                pickle.dump(reply, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                pipe.flush()
+                if not reply[0]:
+                    break
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _map_range(function, path, args, start: int, stop: int):
+    """One part of ``map_lines``: ``function`` over the lines in bytes
+    ``start`` to ``stop`` of ``path``."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = fh.read(stop - start)
+    if b"\r" in data:
+        raise ValueError("a carriage return, which text mode reads as a line break")
+    lines = data.decode("utf-8").split("\n")
+    if data.endswith(b"\n"):
+        lines.pop()
+    return function(enumerate(lines, start=1), *args)
+
+
+def _parse_flat(text: str, key: str) -> dict | None:
+    """``json.loads(text)`` with the items of ``key``'s flat array parsed on
+    every CPU into a float64 array; ``None`` where the text is below the size
+    rule, is not such an object, or the array breaks a rule of ``read_array``."""
+    values = len(text) // TEXT_BYTES_PER_VALUE
+    found = _locate_flat(text, key) if _workers(values, _cpus()) > 1 else None
+    if found is None:
+        return None
+    doc, start, stop = found
+    step = CHUNK_VALUES * TEXT_BYTES_PER_VALUE
+    commas = {text.find(",", at, stop) for at in range(start + step, stop, step)}
+    commas = sorted(commas - {-1})  # between numbers, a comma ends an item
+    starts, stops = [start] + [c + 1 for c in commas], commas + [stop]
+    workers = _workers(values, len(starts))
+    if workers < 2:
+        return None
+    work = functools.partial(_parse_slice, text)
+    try:
+        parts = list(_pooled_map(work, starts, stops, workers=workers))
+    except (PedbankError, ValueError):
+        return None
+    doc[key] = np.frombuffer(bytearray().join(parts))
+    return doc
+
+
+def _locate_flat(text: str, key: str):
+    """``(doc, start, stop)`` where ``text`` is one JSON object with distinct
+    keys whose ``key`` holds an array: ``text[start:stop]`` runs from the
+    array's ``[`` to its first ``]``, which closes it if its items are
+    numbers, and ``doc`` holds every other key, read by the ``json``
+    decoder. ``None`` for any other text."""
+    decoder = json.JSONDecoder()
+    doc, items = {}, None
+    i = WHITESPACE.match(text).end() + 1
+    if text[i - 1:i] != "{":
+        return None
+    try:
+        while True:
+            i = WHITESPACE.match(text, i).end()
+            if text[i:i + 1] != '"':
+                return None
+            name, i = scanstring(text, i + 1)
+            i = WHITESPACE.match(text, i).end()
+            if text[i:i + 1] != ":" or name in doc or (name == key and items):
+                return None
+            i = WHITESPACE.match(text, i + 1).end()
+            if name == key:  # numbers hold no "]"; other items fail in _parse_slice
+                stop = text.find("]", i)
+                if text[i:i + 1] != "[" or stop < 0:
+                    return None
+                items, i = (i + 1, stop), stop + 1
+            else:
+                doc[name], i = decoder.raw_decode(text, i)
+            i = WHITESPACE.match(text, i).end()
+            if text[i:i + 1] != ",":
+                break
+            i += 1
+    except ValueError:  # invalid JSON, or an integer longer than int() takes
+        return None
+    if text[i:i + 1] != "}" or not items or WHITESPACE.match(text, i + 1).end() != len(text):
+        return None
+    return doc, *items
+
+
+def _parse_slice(text: str, start: int, stop: int) -> bytes:
+    """One part of ``_parse_flat``: the float64 bytes of the comma-separated
+    items in ``text[start:stop]``, checked by ``read_array``."""
+    items = json.loads("[" + text[start:stop] + "]")
+    return read_array({"items": items}, "items", "", (None,)).tobytes()

@@ -3,9 +3,12 @@
 import math
 
 import numpy as np
+import pytest
 
+from pedbank import jsonio
 from pedbank.bank import KnowledgeBank
 from pedbank.embeddings import BACKGROUND, PEDESTRIAN, EmbeddingDataset
+from pedbank.errors import PedbankError
 
 
 def make_dataset(vectors, labels=None, prefix="r"):
@@ -16,6 +19,37 @@ def make_dataset(vectors, labels=None, prefix="r"):
         labels=tuple(labels),
         vectors=vectors if len(vectors) else np.empty((0, 0)),
     )
+
+
+def pool_every_array(monkeypatch):
+    """Send every array of more than one chunk to two forked workers, and
+    have the readers cut every file at each line break, and flat arrays
+    after about every fifth item, between two forked workers."""
+    monkeypatch.setattr(jsonio, "POOL_MIN_VALUES", 1)
+    monkeypatch.setattr(jsonio, "CHUNK_VALUES", 5)
+    monkeypatch.setattr(jsonio, "TEXT_BYTES_PER_VALUE", 1)
+    monkeypatch.setattr(jsonio, "_cpus", lambda: 2)
+
+
+def outcome(read, path):
+    """What ``read(path)`` gives: the fields of its result, arrays as their
+    shape and bytes, or the type and message of the error it raises."""
+    try:
+        result = read(path)
+    except PedbankError as exc:
+        return type(exc), str(exc)
+    return [(v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in vars(result).values()]
+
+
+def read_both_ways(read, path):
+    """``outcome`` of ``read(path)`` in this process, and split over two workers."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jsonio, "_cpus", lambda: 1)
+        in_process = outcome(read, path)
+    with pytest.MonkeyPatch.context() as mp:
+        pool_every_array(mp)
+        pooled = outcome(read, path)
+    return in_process, pooled
 
 
 def random_bank(seed, n, dim, meta=None):

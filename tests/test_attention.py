@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import sys
 import weakref
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pedbank import attention
+from pedbank import attention, jsonio
 from pedbank.attention import (
     ATTENTION_PARAMS_VERSION,
     AttentionParams,
@@ -27,7 +28,7 @@ from pedbank.bank import KnowledgeBank
 from pedbank.errors import DimensionError, NumericalError, ParseError, PreconditionError
 from pedbank.gradcheck import attention_check
 
-from support import einsum_attention, random_bank
+from support import einsum_attention, random_bank, read_both_ways
 
 
 def small_setup(seed=3, m=3, h=2, w=2, c=8, n=4, d=8, d_m=4, heads=2):
@@ -155,6 +156,16 @@ class TestLayerNorm:
     def test_zero_variance_without_eps_raises(self, rows):
         with pytest.raises(NumericalError, match="layer norm.*zero variance"):
             layer_norm(np.array(rows), np.ones(3), np.zeros(3), eps=0.0)
+
+    @pytest.mark.parametrize("eps", [True, math.inf, "1", -1e-5], ids=repr)
+    def test_eps_follows_the_array_rule(self, eps):
+        with pytest.raises(PreconditionError, match="eps"):
+            layer_norm(np.array([[1.0, 2.0]]), np.ones(2), np.zeros(2), eps=eps)
+
+    def test_an_int_eps_counts_as_its_float(self):
+        rows = np.array([[1.0, 2.0, 4.0]])
+        np.testing.assert_array_equal(layer_norm(rows, np.ones(3), np.zeros(3), eps=1),
+                                      layer_norm(rows, np.ones(3), np.zeros(3), eps=1.0))
 
     @pytest.mark.parametrize("shape", [(100, 49, 256), (1, 1, 256), (7, 3), (4, 2, 5, 64), (2,)])
     def test_variance_of_the_centered_rows_has_the_bits_of_var(self, shape):
@@ -539,6 +550,57 @@ class TestFeatureBatchFiles:
     def test_constructor_rejects_query_with_extent(self):
         with pytest.raises(DimensionError):
             FeatureBatch(mode="query", blocks=np.zeros((2, 3, 4)))
+
+
+@pytest.mark.usefixtures("pooled")
+class TestFeatureBatchFilesPooled(TestFeatureBatchFiles):
+    """Every case of ``TestFeatureBatchFiles``, with each ``data`` array of
+    more than one item cut at commas and parsed in two forked workers."""
+
+
+HEADER = '"mode": "proposal", "m": 1, "h": 1, "w": 2, "c": 2'
+DATA = '"data": [1.0, -0.0, 5e-324, 4]'
+# Documents a split of ``data`` at a comma could read otherwise than
+# ``json``: the workers parse the first five, the others go to ``json``.
+FLAT_CASES = {
+    "split: valid": "{%s, %s}" % (HEADER, DATA),
+    "split: valid query": '{"mode": "query", "m": 2, "h": 1, "w": 1, "c": 2, %s}' % DATA,
+    "split: JSON whitespace everywhere":
+        ' \n{ %s ,\r\n"data"\t:[ 1e16 ,\n2.5E-3,-0.0 , 4 ] }\n\n' % HEADER,
+    "split: data in a string value": '{"note": "\\"data\\": [9]", %s, %s}' % (HEADER, DATA),
+    "split: data nested in another key": '{"meta": {"data": [9]}, %s, %s}' % (HEADER, DATA),
+    "split: a wrong length": '{%s, "data": [1.0, 2.0, 3.0]}' % HEADER,
+    "data twice": "{%s, %s, %s}" % (HEADER, DATA, DATA.replace("1.0", "7.0")),
+    "another key twice": '{"m": 2, %s, %s}' % (HEADER, DATA),
+    "nested data": '{%s, "data": [[1.0, 2.0], [3.0, 4.0]]}' % HEADER,
+    "a string in data": '{%s, "data": [1.0, "2", 3.0, 4.0]}' % HEADER,
+    "a string holding ] in data": '{%s, "data": ["]", 2.0, 3.0, 4.0]}' % HEADER,
+    "an object in data": '{%s, "data": [1.0, {"a": 2.0}, 3.0, 4.0]}' % HEADER,
+    "true in data": '{%s, "data": [1.0, 2.0, true, 4.0]}' % HEADER,
+    "NaN in data": '{%s, "data": [1.0, 2.0, NaN, 4.0]}' % HEADER,
+    "1e400 in data": '{%s, "data": [1.0, 2.0, 3.0, 1e400]}' % HEADER,
+    "an integer past the digit limit in data": '{%s, "data": [1.0, 2.0, 3.0, %s]}' % (HEADER, "1" * 5000),
+    "an integer past the digit limit before data": '{"n": %s, %s, %s}' % ("1" * 5000, HEADER, DATA),
+    "an empty item in data": '{%s, "data": [1.0, 2.0, , 4.0]}' % HEADER,
+    "empty data": '{%s, "data": []}' % HEADER,
+    "a trailing comma in data": '{%s, "data": [1.0, 2.0, 3.0, 4.0,]}' % HEADER,
+    "text after the object": "{%s, %s} {}" % (HEADER, DATA),
+    "a trailing comma in the object": "{%s, %s,}" % (HEADER, DATA),
+}
+
+
+@pytest.mark.parametrize("name", FLAT_CASES)
+def test_pooled_and_in_process_loads_agree(tmp_path, monkeypatch, name):
+    if "digit limit" in name and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter converts integers of any length")
+    path = tmp_path / "batch.json"
+    path.write_text(FLAT_CASES[name])
+    docs = []
+    parse_flat = jsonio._parse_flat
+    monkeypatch.setattr(jsonio, "_parse_flat", lambda *args: docs.append(parse_flat(*args)) or docs[-1])
+    in_process, pooled = read_both_ways(load_feature_batch, path)
+    assert pooled == in_process
+    assert (docs[-1] is not None) == name.startswith("split")
 
 
 class TestParamsFiles:

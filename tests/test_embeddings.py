@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pedbank import jsonio
 from pedbank.embeddings import (
     BACKGROUND,
     PEDESTRIAN,
@@ -18,7 +22,7 @@ from pedbank.embeddings import (
 )
 from pedbank.errors import DimensionError, ParseError, PreconditionError
 
-from support import make_dataset
+from support import make_dataset, read_both_ways
 
 
 def write_lines(path, lines):
@@ -101,6 +105,67 @@ class TestParse:
             assert math.isclose(float(np.linalg.norm(vector)), 1.0, abs_tol=1e-9)
         raw = parse_embedding_file(path)
         assert not math.isclose(float(np.linalg.norm(raw.vectors[0])), 1.0)
+
+
+@pytest.mark.usefixtures("pooled")
+class TestParsePooled(TestParse):
+    """Every case of ``TestParse``, with each file of more than one line cut
+    at every line break and parsed in two forked workers."""
+
+
+def record(rec_id, vector, label="pedestrian"):
+    return json.dumps({"id": rec_id, "label": label, "vector": vector})
+
+
+# Files whose parts can each pass the per-line checks, or that text mode
+# reads otherwise than a split at b"\n" would.
+VALID = [record("a", [3.0, 4.0]), record("b", [1e-150, -0.0]),
+         record("c", [5e-324, 1e16]), record("d", [0.1, -2.0])]
+SPLIT_CASES = {
+    "valid": "\n".join(VALID) + "\n",
+    "valid without a final line break": "\n".join(VALID),
+    "valid with CRLF line breaks": "\r\n".join(VALID) + "\r\n",
+    "duplicate id across the split": "\n".join(VALID[:3] + [record("a", [0.1, -2.0])]) + "\n",
+    "dimension mismatch across the split": "\n".join(
+        VALID[:2] + [record("c", [1.0]), record("d", [2.0])]) + "\n",
+    "carriage return inside a record": "\n".join(VALID[:3] + [VALID[3].replace(", ", ",\r", 1)]) + "\n",
+    "trailing blank line": "\n".join(VALID) + "\n\n",
+    "zero vector": "\n".join(VALID[:3] + [record("d", [0, 0.0])]) + "\n",
+    "integer past the digit limit": "\n".join(VALID[:3] + [record("d", [1.0, 2.0]).replace(
+        "1.0", "1" * 5000)]) + "\n",
+}
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("name", SPLIT_CASES)
+def test_pooled_and_in_process_parses_agree(tmp_path, monkeypatch, name, normalize):
+    if name == "integer past the digit limit" and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter converts integers of any length")
+    path = tmp_path / "e.jsonl"
+    path.write_bytes(SPLIT_CASES[name].encode())
+    parts = []
+    map_lines = jsonio.map_lines
+    monkeypatch.setattr(jsonio, "map_lines", lambda *args: parts.append(map_lines(*args)) or parts[-1])
+
+    def parse(p):
+        return parse_embedding_file(p, normalize=normalize)
+
+    in_process, pooled = read_both_ways(parse, path)
+    assert pooled == in_process
+    if name.startswith("valid"):
+        assert isinstance(in_process, list)
+    if name in ("valid", "valid without a final line break") or "across" in name:
+        assert parts[-1] is not None and len(parts[-1]) > 1  # every part passed
+
+
+def test_a_pipe_is_read_once_in_this_process(tmp_path, pooled):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_text(SPLIT_CASES["valid"]), daemon=True)
+    writer.start()
+    ds = parse_embedding_file(pipe)
+    writer.join(timeout=10)
+    assert not writer.is_alive() and ds.ids == ("a", "b", "c", "d")
 
 
 def test_write_then_parse_is_identical(tmp_path):
@@ -190,6 +255,9 @@ class TestGenerateSynthetic:
             generate_synthetic(seed=0, pedestrians=1, backgrounds=1, dim=1)
         with pytest.raises(PreconditionError):
             generate_synthetic(seed=0, pedestrians=1, backgrounds=1, dim=4, separation=-1.0)
+        for dim in (3.0, "3"):
+            with pytest.raises(PreconditionError):
+                generate_synthetic(seed=0, pedestrians=1, backgrounds=1, dim=dim)
 
     @pytest.mark.parametrize("count", [True, 2.5])
     def test_counts_must_be_positive_integers(self, count):

@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import stat
+import sys
 import threading
 from concurrent.futures.process import BrokenProcessPool
 
@@ -22,7 +23,7 @@ from pedbank.bank import save_bank
 from pedbank.cli import EXIT_PARSE, main
 from pedbank.embeddings import generate_synthetic, write_embedding_file
 
-from support import random_bank
+from support import pool_every_array, random_bank
 
 # sha256 of each file written by ``write_golden_files``; a writer that
 # changes a single byte of its output fails here.
@@ -128,6 +129,16 @@ def test_non_utf8_file_exits_2_naming_the_file(tmp_path, capsys, valid_files, na
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter converts integers of any length")
+@pytest.mark.parametrize("name", ["bank", "proposal", "query", "params", "embeddings"])
+def test_an_integer_past_the_digit_limit_exits_2_naming_the_file(tmp_path, capsys, valid_files, name):
+    path = valid_files[name]
+    path.write_text('{"extra": ' + "1" * 5000 + ", " + path.read_text()[1:])
+    assert main(argv_reading(name, valid_files, tmp_path)) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"{path}{': line 1' if name == 'embeddings' else ''}: invalid JSON (Exceeds the limit" in err
+
 
 # Float text edge cases: signed zero, the smallest subnormal, and the points
 # where repr switches between positional and exponent notation.
@@ -139,18 +150,6 @@ def reference_line(doc):
     document with its arrays as nested lists."""
     listed = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
     return json.dumps(listed, sort_keys=True, allow_nan=False) + "\n"
-
-
-def pool_every_array(monkeypatch):
-    """Send every array with more than one chunk to two forked workers."""
-    monkeypatch.setattr(jsonio, "POOL_MIN_VALUES", 1)
-    monkeypatch.setattr(jsonio, "CHUNK_VALUES", 5)
-    monkeypatch.setattr(jsonio, "_cpus", lambda: 2)
-
-
-@pytest.fixture()
-def pooled(monkeypatch):
-    pool_every_array(monkeypatch)
 
 
 @st.composite
@@ -216,6 +215,35 @@ def test_a_failing_worker_raises_in_the_caller(tmp_path, pooled, monkeypatch, ch
         jsonio.write_documents(path, [{"data": np.zeros(20)}])
     assert path.read_bytes() == b"previous bytes\n"
     assert os.listdir(tmp_path) == ["d.json"]  # no temporary file left behind
+
+
+def _pid_slice(text, start, stop):
+    return np.array([os.getpid()], dtype=np.float64).tobytes()
+
+
+def test_large_files_are_read_in_other_processes(tmp_path, pooled, monkeypatch):
+    lines = tmp_path / "lines.jsonl"
+    lines.write_text("".join(f'{{"line": {i}}}\n' for i in range(4)))
+    pids = jsonio.map_lines(lines, lambda numbered: os.getpid())
+    assert len(pids) == 4 and len(set(pids)) == 2 and os.getpid() not in pids
+
+    monkeypatch.setattr(jsonio, "_parse_slice", _pid_slice)
+    flat = tmp_path / "flat.json"
+    flat.write_text('{"a": 1, "data": [%s]}' % ", ".join(["1.5"] * 20))
+    pids = jsonio.read_document(flat, ("a", "data"), flat="data")["data"].tolist()
+    assert len(set(pids)) == 2 and os.getpid() not in pids
+
+
+def test_more_workers_than_cpus_keep_the_order():
+    assert list(jsonio._pooled_map(abs, range(-50, 0), workers=5)) == list(range(50, 0, -1))
+
+
+def test_an_abandoned_map_ends_its_workers():
+    results = jsonio._pooled_map(abs, range(-20, 0), workers=2)
+    assert next(results) == 20
+    results.close()
+    with pytest.raises(ChildProcessError):  # no child left to reap
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_written_file_gets_the_permissions_open_gives(tmp_path):
