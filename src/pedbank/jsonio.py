@@ -17,11 +17,10 @@ Large inputs are read and written on every CPU, by one size rule (at least
 ``POOL_MIN_VALUES`` values, on a platform that reports more than one CPU
 available to the process) and through one map, ``_pooled_map``, which forks
 its workers: they format the chunks of a large array, and they parse a
-large JSON-lines file (``map_lines``) or the flat array of a large document
-(``read_document``) in parts of about ``CHUNK_VALUES`` values. The bytes
-written, the arrays read and every error do not depend on which way ran: a
-reader whose parts break a rule, or that meets a layout a cut could misread,
-parses the whole file again in this process, which decides.
+JSON-lines file (``map_lines``) or the flat array of a document
+(``read_document``) in the parts that ``_map_parts`` cuts, which also holds
+the readers' fall-back. The bytes written, the arrays read and every error
+do not depend on which way ran.
 Every writer of the package goes through ``replacing``, so a failed write
 leaves an existing file as it was.
 """
@@ -30,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import itertools
 import json
 import math
@@ -75,48 +75,31 @@ def read_lines(path):
 
 
 def map_lines(path, function, *args) -> list | None:
-    """``function(lines, *args)`` for each range of ``path`` that holds
-    about ``CHUNK_VALUES`` values of text, cut at line breaks, in order, in
-    forked processes that read their ranges themselves. ``lines`` holds
-    ``(lineno, line)`` numbered from 1 within the range, as ``read_lines``
-    would yield them but for the line break.
+    """``function(lines, *args)`` for each range of ``path`` cut at line
+    breaks, in order, through ``_map_parts``, in forked processes that read
+    their ranges themselves. ``lines`` holds ``(lineno, line)`` numbered
+    from 1 within the range, as ``read_lines`` would yield them.
 
-    ``None`` when ``path`` is not a regular file or is below the size rule,
-    when a range holds a ``\\r`` (which text mode reads as a line break) or
-    bytes that are not UTF-8, or when ``function`` raises a ``PedbankError``
-    or ``ValueError``: the caller then reads the file through ``read_lines``,
-    which decides.
+    ``None`` when ``path`` is not a regular file (a pipe is read once, in
+    order) and wherever ``_map_parts`` gives ``None``: the caller then reads
+    the file through ``read_lines``, which decides.
     """
-    size = os.path.getsize(path) if os.path.isfile(path) else 0  # a pipe is read once, in order
-    values = size // TEXT_BYTES_PER_VALUE
-    if _workers(values, _cpus()) < 2:
+    if not os.path.isfile(path):
         return None
-    step = CHUNK_VALUES * TEXT_BYTES_PER_VALUE
-    cuts = {0, size}
-    with open(path, "rb") as fh:
-        for offset in range(step, size, step):
-            fh.seek(offset)
-            fh.readline()  # to the end of the line that holds byte ``offset``
-            cuts.add(fh.tell())
-    bounds = sorted(cuts)
-    workers = _workers(values, len(bounds) - 1)
-    if workers < 2:
-        return None
-    work = functools.partial(_map_range, function, path, args)
-    try:
-        return list(_pooled_map(work, bounds[:-1], bounds[1:], workers=workers))
-    except (PedbankError, ValueError):
-        return None
+    with open(path, "rb") as fh:  # a cut at byte ``at`` ends the line that holds it
+        return _map_parts(functools.partial(_map_range, function, path, args), 0,
+                          os.path.getsize(path), lambda at: fh.seek(at) + len(fh.readline()))
 
 
 def read_document(path, keys, flat=None) -> dict:
     """Load a JSON object from ``path`` that holds at least ``keys``.
 
-    Where the text is above the size rule and the object's ``flat`` key holds
-    a flat array, its items are parsed on every CPU and come back as a
-    float64 array that has passed ``read_array``'s number and finiteness
-    rules. Every other layout, and an array that breaks a rule, is parsed by
-    ``json`` in this process, so the values and every error are the same.
+    Where the object's ``flat`` key holds a flat array, its items are cut at
+    commas and parsed through ``_map_parts``, and come back as a float64
+    array that has passed ``read_array``'s number and finiteness rules.
+    Every other layout, and wherever ``_map_parts`` gives ``None``, is
+    parsed by ``json`` in this process, so the values and every error are
+    the same.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -328,40 +311,49 @@ def _run_call(index: int):
     return pickle.dumps(function(*calls[index]), pickle.HIGHEST_PROTOCOL)
 
 
+def _map_parts(work, start: int, stop: int, cut) -> list | None:
+    """``work(a, b)`` for each part ``[a, b)`` of ``[start, stop)``, in
+    order, through ``_pooled_map``: the size rule and the fall-back of both
+    readers. ``[start, stop)`` is text, in bytes or characters, counted as
+    ``TEXT_BYTES_PER_VALUE`` per value; each part holds about
+    ``CHUNK_VALUES`` values and ends at ``cut(offset)``, just after the
+    first separator from ``offset`` on, or at ``stop``.
+
+    ``None`` below the size rule, before any ``cut``, and when a part raises
+    a ``PedbankError`` or ``ValueError``: the caller then reads the whole
+    text in this process, which decides. Any other exception is raised.
+    """
+    workers = _workers((stop - start) // TEXT_BYTES_PER_VALUE, _cpus())
+    if workers < 2:
+        return None
+    step = CHUNK_VALUES * TEXT_BYTES_PER_VALUE
+    bounds = sorted({start, stop, *map(cut, range(start + step, stop, step))})
+    try:
+        return list(_pooled_map(work, bounds[:-1], bounds[1:], workers=min(workers, len(bounds) - 1)))
+    except (PedbankError, ValueError):
+        return None
+
+
 def _map_range(function, path, args, start: int, stop: int):
     """One part of ``map_lines``: ``function`` over the lines in bytes
-    ``start`` to ``stop`` of ``path``."""
+    ``start`` to ``stop`` of ``path``, read as text mode reads them."""
     with open(path, "rb") as fh:
         fh.seek(start)
         data = fh.read(stop - start)
-    if b"\r" in data:
-        raise ValueError("a carriage return, which text mode reads as a line break")
-    lines = data.decode("utf-8").split("\n")
-    if data.endswith(b"\n"):
-        lines.pop()
-    return function(enumerate(lines, start=1), *args)
+    return function(enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), start=1), *args)
 
 
 def _parse_flat(text: str, key: str) -> dict | None:
-    """``json.loads(text)`` with the items of ``key``'s flat array parsed on
-    every CPU into a float64 array; ``None`` where the text is below the size
-    rule, is not such an object, or the array breaks a rule of ``read_array``."""
-    values = len(text) // TEXT_BYTES_PER_VALUE
-    found = _locate_flat(text, key) if _workers(values, _cpus()) > 1 else None
+    """``json.loads(text)`` with the items of ``key``'s flat array parsed
+    through ``_map_parts`` into a float64 array; ``None`` where the text is
+    not such an object or ``_map_parts`` gives ``None``."""
+    found = _locate_flat(text, key)
     if found is None:
         return None
     doc, start, stop = found
-    step = CHUNK_VALUES * TEXT_BYTES_PER_VALUE
-    commas = {text.find(",", at, stop) for at in range(start + step, stop, step)}
-    commas = sorted(commas - {-1})  # between numbers, a comma ends an item
-    starts, stops = [start] + [c + 1 for c in commas], commas + [stop]
-    workers = _workers(values, len(starts))
-    if workers < 2:
-        return None
-    work = functools.partial(_parse_slice, text)
-    try:
-        parts = list(_pooled_map(work, starts, stops, workers=workers))
-    except (PedbankError, ValueError):
+    parts = _map_parts(functools.partial(_parse_slice, text), start, stop,
+                       lambda at: text.find(",", at, stop) + 1 or stop)
+    if parts is None:
         return None
     doc[key] = np.frombuffer(bytearray().join(parts))
     return doc
@@ -369,10 +361,10 @@ def _parse_flat(text: str, key: str) -> dict | None:
 
 def _locate_flat(text: str, key: str):
     """``(doc, start, stop)`` where ``text`` is one JSON object with distinct
-    keys whose ``key`` holds an array: ``text[start:stop]`` runs from the
-    array's ``[`` to its first ``]``, which closes it if its items are
-    numbers, and ``doc`` holds every other key, read by the ``json``
-    decoder. ``None`` for any other text."""
+    keys whose ``key`` holds an array: ``text[start:stop]`` runs from after
+    the array's ``[`` to just after its first ``]``, which closes it if its
+    items are numbers, and ``doc`` holds every other key, read by the
+    ``json`` decoder. ``None`` for any other text."""
     decoder = json.JSONDecoder()
     doc, items = {}, None
     i = WHITESPACE.match(text).end() + 1
@@ -389,10 +381,10 @@ def _locate_flat(text: str, key: str):
                 return None
             i = WHITESPACE.match(text, i + 1).end()
             if name == key:  # numbers hold no "]"; other items fail in _parse_slice
-                stop = text.find("]", i)
-                if text[i:i + 1] != "[" or stop < 0:
+                stop = text.find("]", i) + 1
+                if text[i:i + 1] != "[" or not stop:
                     return None
-                items, i = (i + 1, stop), stop + 1
+                items, i = (i + 1, stop), stop
             else:
                 doc[name], i = decoder.raw_decode(text, i)
             i = WHITESPACE.match(text, i).end()
@@ -408,6 +400,7 @@ def _locate_flat(text: str, key: str):
 
 def _parse_slice(text: str, start: int, stop: int) -> bytes:
     """One part of ``_parse_flat``: the float64 bytes of the comma-separated
-    items in ``text[start:stop]``, checked by ``read_array``."""
-    items = json.loads("[" + text[start:stop] + "]")
+    items in ``text[start:stop]``, checked by ``read_array``; the part's
+    last character, a comma or the closing ``]``, is dropped."""
+    items = json.loads("[" + text[start:stop - 1] + "]")
     return read_array({"items": items}, "items", "", (None,)).tobytes()

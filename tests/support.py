@@ -23,8 +23,8 @@ def make_dataset(vectors, labels=None, prefix="r"):
 
 def pool_every_array(monkeypatch):
     """Send every array of more than one chunk to two forked workers, and
-    have the readers cut every file at each line break, and flat arrays
-    after about every fifth item, between two forked workers."""
+    have the readers cut every file at each line break, and flat arrays at
+    the first comma after every fifth character, between two forked workers."""
     monkeypatch.setattr(jsonio, "POOL_MIN_VALUES", 1)
     monkeypatch.setattr(jsonio, "CHUNK_VALUES", 5)
     monkeypatch.setattr(jsonio, "TEXT_BYTES_PER_VALUE", 1)

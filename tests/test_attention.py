@@ -561,7 +561,9 @@ class TestFeatureBatchFilesPooled(TestFeatureBatchFiles):
 HEADER = '"mode": "proposal", "m": 1, "h": 1, "w": 2, "c": 2'
 DATA = '"data": [1.0, -0.0, 5e-324, 4]'
 # Documents a split of ``data`` at a comma could read otherwise than
-# ``json``: the workers parse the first five, the others go to ``json``.
+# ``json``: the workers parse the "split" ones, the others go to ``json``.
+# With the parts of ``pool_every_array``, "a trailing comma in data" ends
+# in a part that is the closing "]" alone.
 FLAT_CASES = {
     "split: valid": "{%s, %s}" % (HEADER, DATA),
     "split: valid query": '{"mode": "query", "m": 2, "h": 1, "w": 1, "c": 2, %s}' % DATA,
@@ -570,6 +572,7 @@ FLAT_CASES = {
     "split: data in a string value": '{"note": "\\"data\\": [9]", %s, %s}' % (HEADER, DATA),
     "split: data nested in another key": '{"meta": {"data": [9]}, %s, %s}' % (HEADER, DATA),
     "split: a wrong length": '{%s, "data": [1.0, 2.0, 3.0]}' % HEADER,
+    "split: a cut at the closing ]": '{%s, "data": [1.0, 2.0, 3.0, 400.0]}' % HEADER,
     "data twice": "{%s, %s, %s}" % (HEADER, DATA, DATA.replace("1.0", "7.0")),
     "another key twice": '{"m": 2, %s, %s}' % (HEADER, DATA),
     "nested data": '{%s, "data": [[1.0, 2.0], [3.0, 4.0]]}' % HEADER,
@@ -584,6 +587,8 @@ FLAT_CASES = {
     "an empty item in data": '{%s, "data": [1.0, 2.0, , 4.0]}' % HEADER,
     "empty data": '{%s, "data": []}' % HEADER,
     "a trailing comma in data": '{%s, "data": [1.0, 2.0, 3.0, 4.0,]}' % HEADER,
+    "an empty item at a cut": '{%s, "data": [1.0, , 3.0, 4.0]}' % HEADER,
+    "a trailing comma in the last part": '{%s, "data": [1.0, 2.0, 3, 4,]}' % HEADER,
     "text after the object": "{%s, %s} {}" % (HEADER, DATA),
     "a trailing comma in the object": "{%s, %s,}" % (HEADER, DATA),
 }

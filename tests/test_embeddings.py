@@ -125,6 +125,7 @@ SPLIT_CASES = {
     "valid": "\n".join(VALID) + "\n",
     "valid without a final line break": "\n".join(VALID),
     "valid with CRLF line breaks": "\r\n".join(VALID) + "\r\n",
+    "valid with lone CR line breaks": "\r".join(VALID) + "\r",
     "duplicate id across the split": "\n".join(VALID[:3] + [record("a", [0.1, -2.0])]) + "\n",
     "dimension mismatch across the split": "\n".join(
         VALID[:2] + [record("c", [1.0]), record("d", [2.0])]) + "\n",
@@ -154,8 +155,9 @@ def test_pooled_and_in_process_parses_agree(tmp_path, monkeypatch, name, normali
     assert pooled == in_process
     if name.startswith("valid"):
         assert isinstance(in_process, list)
-    if name in ("valid", "valid without a final line break") or "across" in name:
-        assert parts[-1] is not None and len(parts[-1]) > 1  # every part passed
+    if name.startswith("valid") or "across" in name:
+        assert parts[-1] is not None  # every part passed
+        assert len(parts[-1]) > 1 or "lone CR" in name  # files are cut only after a "\n"
 
 
 def test_a_pipe_is_read_once_in_this_process(tmp_path, pooled):

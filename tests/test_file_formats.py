@@ -22,6 +22,7 @@ from pedbank.attention import FeatureBatch, init_attention, save_attention_param
 from pedbank.bank import save_bank
 from pedbank.cli import EXIT_PARSE, main
 from pedbank.embeddings import generate_synthetic, write_embedding_file
+from pedbank.errors import ParseError
 
 from support import pool_every_array, random_bank
 
@@ -232,6 +233,38 @@ def test_large_files_are_read_in_other_processes(tmp_path, pooled, monkeypatch):
     flat.write_text('{"a": 1, "data": [%s]}' % ", ".join(["1.5"] * 20))
     pids = jsonio.read_document(flat, ("a", "data"), flat="data")["data"].tolist()
     assert len(pids) > 1 and os.getpid() not in pids
+
+
+def _part_fails(error):
+    def work(start, stop):
+        if start == 10:
+            raise error
+        return start, stop
+    return work
+
+
+def test_map_parts_cuts_at_the_size_rule_only(pooled, monkeypatch):
+    cuts = []
+
+    def cut(offset):
+        cuts.append(offset)
+        return offset + 1
+
+    monkeypatch.setattr(jsonio, "POOL_MIN_VALUES", 20)
+    assert jsonio._map_parts(_part_fails(ArithmeticError()), 0, 19, cut) is None
+    assert cuts == []
+    assert jsonio._map_parts(lambda *part: part, 0, 20, cut) == [(0, 6), (6, 11), (11, 16), (16, 20)]
+    assert cuts == [5, 10, 15]
+
+
+@pytest.mark.parametrize("error", [ParseError("part"), ValueError("part")], ids=["ParseError", "ValueError"])
+def test_map_parts_gives_none_when_a_part_breaks_a_rule(pooled, error):
+    assert jsonio._map_parts(_part_fails(error), 0, 20, lambda offset: offset) is None
+
+
+def test_map_parts_raises_any_other_error_of_a_part(pooled):
+    with pytest.raises(ArithmeticError, match="part"):
+        jsonio._map_parts(_part_fails(ArithmeticError("part")), 0, 20, lambda offset: offset)
 
 
 def test_more_workers_than_cpus_keep_the_order():
