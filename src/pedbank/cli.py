@@ -143,10 +143,7 @@ def cmd_inspect(args) -> int:
     }
     jsonio.write_documents(groups_out, [doc])
     csv_out = args.fk_csv_out or f"{args.bank}.fk.csv"
-    with jsonio.replacing(csv_out) as fh:
-        for row in loaded.f_k:
-            fh.write(",".join(map(repr, row.tolist())))
-            fh.write("\n")
+    jsonio.write_csv(csv_out, loaded.f_k)
     print(f"wrote groups report to {groups_out}")
     print(f"wrote composed-feature csv to {csv_out}")
     return EXIT_OK

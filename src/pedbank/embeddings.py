@@ -17,6 +17,7 @@ import numpy as np
 from . import jsonio
 from .errors import (
     DimensionError, ParseError, PreconditionError, check_array, check_seed, check_sizes,
+    owned_readonly,
 )
 
 PEDESTRIAN = "pedestrian"
@@ -40,8 +41,7 @@ class EmbeddingDataset:
 
     def __post_init__(self):
         ids, labels = tuple(self.ids), tuple(self.labels)
-        vectors = check_array("vectors", self.vectors, (None, None)).copy()
-        vectors.flags.writeable = False
+        vectors = owned_readonly(check_array("vectors", self.vectors, (None, None)))
         for name, value in (("ids", ids), ("labels", labels), ("vectors", vectors)):
             object.__setattr__(self, name, value)
         if not len(ids) == len(labels) == vectors.shape[0]:
@@ -83,10 +83,14 @@ def parse_embedding_file(path, normalize: bool = False) -> EmbeddingDataset:
         parts = [_parse_lines(jsonio.read_lines(path), path, normalize)]
         ids = parts[0][0]
     labels = [label for part in parts for label in part[1]]
-    dim = parts[0][3] or 0
-    rows = bytearray().join(part[2] for part in parts) if len(parts) > 1 else parts[0][2]
-    del parts  # the dataset copies ``rows``: keep no third copy of the vectors meanwhile
-    vectors = np.frombuffer(rows).reshape(len(ids), dim)
+    vectors = np.empty((len(ids), parts[0][3] or 0))
+    flat, at = vectors.reshape(-1), 0
+    for i in range(len(parts)):  # each part's bytes go once they are copied
+        values = np.frombuffer(parts[i][2])
+        parts[i] = None
+        flat[at:at + len(values)] = values
+        at += len(values)
+    vectors.flags.writeable = False  # handed over: the dataset keeps it without a copy
     return EmbeddingDataset(ids=tuple(ids), labels=tuple(labels), vectors=vectors)
 
 
@@ -146,10 +150,12 @@ def split_by_label(dataset: EmbeddingDataset) -> tuple[EmbeddingDataset, Embeddi
 
     def labeled(label: str) -> EmbeddingDataset:
         rows = [i for i, row_label in enumerate(dataset.labels) if row_label == label]
+        vectors = dataset.vectors[rows]
+        vectors.flags.writeable = False  # a new array, handed over without a copy
         return EmbeddingDataset(
             ids=tuple(dataset.ids[i] for i in rows),
             labels=(label,) * len(rows),
-            vectors=dataset.vectors[rows],
+            vectors=vectors,
         )
 
     return labeled(PEDESTRIAN), labeled(BACKGROUND)

@@ -11,7 +11,13 @@ callers hand it float64 arrays, and it writes sorted keys and shortest
 round-trip floats, so the same object always produces the same bytes,
 ``json.dumps(doc, sort_keys=True, allow_nan=False)`` of the nested lists.
 Each array is streamed to the file in chunks of whole first-axis items,
-about ``CHUNK_VALUES`` values each.
+about ``CHUNK_VALUES`` values each. The float text of a chunk, and of
+``write_csv``, comes from one NumPy kernel, ``_float_text``: it finds the
+shortest digits that read back as the same double with exact integer
+arithmetic, for every value from 1e-4 up to 1e16, and lays the text out in
+a byte matrix; zeros are written directly, and values outside that range,
+where ``repr`` writes an exponent, take ``float.__repr__``. The bytes are
+those ``json.dumps`` and ``repr`` write.
 
 Large inputs are read and written on every CPU, by one size rule (at least
 ``POOL_MIN_VALUES`` values, on a platform that reports more than one CPU
@@ -46,16 +52,19 @@ _NUMBERS = {int, float}
 _ARRAYS = (list, np.ndarray)
 
 # Values formatted per chunk: about 330 kB of text, and a transient of
-# about 2 MB for the chunk's Python floats and strings.
+# about 2.5 MB for the kernel's arrays.
 CHUNK_VALUES = 1 << 14
 # The size rule of the writer and of both readers: the least work, in values,
 # that goes to worker processes. Starting the workers and passing work and
-# results between processes costs tens of milliseconds. On two CPUs, in a
-# 250 MB process, writing 131 072 values took 171 ms in-process and 207 ms
-# pooled, 262 144 values 304 ms and 192 ms; reading a JSON-lines file with
-# normalization and a flat array, 65 536 values took 51 and 45 ms in-process
-# against 53 and 43 ms pooled, 131 072 values 100 and 81 ms against 71 and
-# 74 ms, 262 144 values 187 and 157 ms against 136 and 138 ms. The bank and
+# results between processes costs tens of milliseconds. Medians of 7 on two
+# CPUs, in a 250 MB process, in-process against pooled: writing 65 536 values
+# took 38 and 59 ms, 131 072 values 71 to 73 and 63 to 67 ms (two runs),
+# 262 144 values 140 and 119 ms, 524 288 values 230 and 159 ms, 1 048 576
+# values 405 and 298 ms; reading a JSON-lines file with normalization and a
+# flat array, 65 536 values took 49 and 42 ms against 48 and 42 ms pooled,
+# 131 072 values 95 and 83 ms against 74 and 68 ms in one run, 99 and 86
+# against 100 and 85 ms in another, 262 144 values 186 and 158 ms against
+# 146 and 128 ms. Both gain from 2**18 on in every run. The bank and
 # parameter files stay in-process; a 1000 x 512 embeddings file and a
 # 100 x 7 x 7 x 256 feature batch are pooled, read and written.
 POOL_MIN_VALUES = 1 << 18
@@ -63,6 +72,16 @@ POOL_MIN_VALUES = 1 << 18
 # file: a shortest round-trip float64 and its ", " separator, as
 # ``write_documents`` writes them, take 20 to 22 bytes.
 TEXT_BYTES_PER_VALUE = 20
+
+# Powers of ten for ``_float_text``: doubles (exact up to 10**22) split into
+# 26-bit halves for Dekker's product, and int64; powers of five and two.
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_POW10_INT = 10 ** np.arange(19, dtype=np.int64)
+_POW5 = 5 ** np.arange(21, dtype=np.int64)
+_POW2 = 2.0 ** np.arange(49)
 
 
 def read_lines(path):
@@ -223,11 +242,26 @@ def replacing(path):
         raise
 
 
-def _write_array(fh, arr: np.ndarray) -> None:
-    """Stream ``arr`` as nested JSON lists, formatting chunks of whole
-    axis-0 items in order, in worker processes when it is large."""
+def write_csv(path, matrix: np.ndarray) -> None:
+    """Write the finite float64 ``matrix`` as CSV through ``replacing``:
+    ``,`` between the values of a row and ``\\n`` after each row, each value
+    as ``float.__repr__`` writes it (``_float_text``)."""
+    with replacing(path) as fh:
+        for chunk in _chunks(matrix):
+            fh.write(_float_text(chunk, [",", "\n"], "\n"))
+
+
+def _chunks(arr: np.ndarray) -> list:
+    """``arr`` cut into runs of whole axis-0 items, about ``CHUNK_VALUES``
+    values each."""
     step = max(1, CHUNK_VALUES // max(1, math.prod(arr.shape[1:])))
-    chunks = [arr[i:i + step] for i in range(0, len(arr), step)]
+    return [arr[i:i + step] for i in range(0, len(arr), step)]
+
+
+def _write_array(fh, arr: np.ndarray) -> None:
+    """Stream ``arr`` as nested JSON lists, formatting its ``_chunks`` in
+    order, in worker processes when it is large."""
+    chunks = _chunks(arr)
     fh.write("[")
     _write_joined(fh, _pooled_map(_format_chunk, chunks, workers=_workers(arr.size, len(chunks))))
     fh.write("]")
@@ -242,10 +276,205 @@ def _write_joined(fh, texts) -> None:
 
 def _format_chunk(chunk: np.ndarray) -> str:
     """The items of ``chunk`` as JSON text, comma separated, without the
-    enclosing brackets; floats as ``float.__repr__``, as ``json`` writes them."""
-    if chunk.ndim == 1:
-        return ", ".join(map(repr, chunk.tolist()))
-    return ", ".join("[" + _format_chunk(item) + "]" for item in chunk)
+    enclosing brackets: ``json.dumps(chunk.tolist())[1:-1]``."""
+    if not chunk.size:  # nested empty lists, and no float to write
+        return json.dumps(chunk.tolist())[1:-1]
+    depth = chunk.ndim
+    separators = ["]" * k + ", " + "[" * k for k in range(depth)]
+    return "[" * (depth - 1) + _float_text(chunk, separators, "]" * (depth - 1))
+
+
+def _float_text(arr: np.ndarray, separators, end: str) -> str:
+    """The values of the finite float64 array ``arr``, in C order, each as
+    ``float.__repr__`` writes it and followed by ``separators[k]``, where
+    ``k`` counts the axes after the first that the value ends (0 inside the
+    last axis, 1 at the end of a row of a matrix), or by ``end`` if it is
+    the last value.
+
+    Values from 1e-4 up to 1e16, where ``repr`` writes no exponent, take
+    the digits of ``_shortest_digits``, laid out by ``_lay_out``; zeros are
+    written directly, and every other value takes ``float.__repr__``.
+    """
+    values = arr.ravel()
+    after = np.zeros(values.size, np.int8)  # which separator follows each value
+    stride = 1
+    for size in reversed(arr.shape[1:]):
+        stride *= size
+        after[stride - 1::stride] += 1
+    after[-1:] = len(separators)
+    separators = [*separators, end]
+    magnitude = np.abs(values)
+    searched = (magnitude >= 1e-4) & (magnitude < 1e16)
+    if not searched.any():
+        return _repr_text(values, separators, after)
+    digits, exponent, trimmed = _shortest_digits(np.where(searched, magnitude, 1.0))
+    searched &= exponent < 16  # 16: rounded up to 1e16
+    fallback = ~searched & (magnitude != 0)
+    # zeros, and the rows of fallback values, are laid out as 0 * 10**-16: "0.0"
+    for column, empty in ((digits, 0), (exponent, 0), (trimmed, 16)):
+        np.putmask(column, ~searched, empty)
+    return _lay_out(values, digits, exponent, trimmed, fallback, separators, after)
+
+
+def _repr_text(values: np.ndarray, separators, after: np.ndarray) -> str:
+    """``_float_text`` where every value takes ``float.__repr__``: the runs
+    inside the last axis are joined as ``json`` joins a list."""
+    texts = list(map(repr, values.tolist()))
+    starts = [0, *(np.flatnonzero(after[:-1]) + 1).tolist()]
+    stops = [*starts[1:], len(texts)]
+    return "".join(separators[0].join(texts[i:j]) + separators[after[j - 1]] for i, j in zip(starts, stops))
+
+
+def _lay_out(values, digits, exponent, trimmed, fallback, separators, after) -> str:
+    """``_float_text`` from the decimals of ``_shortest_digits``: a byte matrix
+    with one row per value (a sign, the integer digits, ``.``, the fraction
+    digits and the separator) and a mask of the bytes each row writes,
+    compressed into one string. The rows of ``fallback`` values write only
+    their separator; each value's ``repr`` is put in where its row starts.
+    """
+    point = 16 - exponent  # digits after the decimal point, 1 to 20
+    scale = _POW10_INT[np.minimum(point, 17)]
+    whole = digits // scale
+    rest = digits - whole * scale
+    scale = _POW10_INT[np.maximum(point - 4, 0)]  # the first 20 fraction digits: 4 in top, 16 in tail
+    top = rest // scale
+    tail = (rest - top * scale) * _POW10_INT[np.minimum(20 - point, 16)]
+    top *= _POW10_INT[np.maximum(4 - point, 0)]
+    int_count = np.where(fallback, 0, np.maximum(exponent, 0) + 1)
+    frac_count = np.where(fallback, 0, np.maximum(16 - trimmed - exponent, 1))
+    int_w, frac_w = int(int_count.max()), int(frac_count.max())
+    int_groups = -(-int_w // 4)
+    ascii = np.empty((len(values), int_groups + 5), np.uint32)  # 4 ASCII digits in each
+    _put_digits(ascii[:, :int_groups], whole)
+    _put_digits(ascii[:, int_groups:int_groups + 1], top)
+    _put_digits(ascii[:, int_groups + 1:], tail)
+    del point, scale, whole, rest, top, tail  # a writer's transient memory
+    ascii = ascii.view(np.uint8)[:, 4 * int_groups - int_w:]
+    table = np.zeros((len(separators), max(map(len, separators))), np.uint8)
+    for i, separator in enumerate(separators):
+        table[i, :len(separator)] = np.frombuffer(separator.encode("ascii"), np.uint8)
+    # columns: sign, int_w integer digits, ".", frac_w fraction digits, separator
+    frac_at = 2 + int_w
+    sep_at = frac_at + frac_w
+    row = np.zeros(sep_at + table.shape[1], np.uint8)
+    row[[0, frac_at - 1]] = ord("-"), ord(".")
+    row[sep_at:] = table[0]
+    text = np.empty((len(values), len(row)), np.uint8)
+    text[:] = row
+    keep = np.empty(text.shape, bool)
+    keep[:] = row != 0
+    keep[:, 0] = sign = np.signbit(values) & ~fallback
+    keep[fallback, frac_at - 1] = False
+    text[:, 1:frac_at - 1] = ascii[:, :int_w]
+    np.greater_equal(np.arange(int_w, dtype=np.int8), (int_w - int_count).astype(np.int8)[:, None],
+                     out=keep[:, 1:frac_at - 1])
+    text[:, frac_at:sep_at] = ascii[:, int_w:int_w + frac_w]
+    np.less(np.arange(frac_w, dtype=np.int8), frac_count.astype(np.int8)[:, None],
+            out=keep[:, frac_at:sep_at])
+    ends = np.flatnonzero(after)  # values that end an axis, and the last one
+    text[ends, sep_at:] = table[after[ends]]
+    keep[ends, sep_at:] = table[after[ends]] != 0
+    packed = text[keep]
+    del text, keep, ascii
+    out = str(packed, "ascii")
+    if not fallback.any():
+        return out
+    lengths = sign + int_count + ~fallback + frac_count + np.count_nonzero(table, axis=1)[after]
+    at = (np.cumsum(lengths) - lengths)[fallback].tolist()
+    pieces = [out[i:j] for i, j in zip([0, *at], [*at, len(out)])]
+    texts = map(repr, values[fallback].tolist())
+    return "".join(itertools.chain.from_iterable(zip(pieces, texts))) + pieces[-1]
+
+
+def _put_digits(out: np.ndarray, number: np.ndarray) -> None:
+    """Fill the uint32 columns of ``out``, the last first, with the groups of
+    four decimal digits of ``number``, as ASCII."""
+    for g in reversed(range(out.shape[1])):
+        above = number // 10000  # not divmod: NumPy divides by a scalar faster
+        out[:, g] = np.take(_digit_groups(), number - above * 10000)
+        number = above
+
+
+@functools.cache
+def _digit_groups() -> np.ndarray:
+    """The four ASCII digits of each number below 10 000, as one uint32 each
+    (built on first use, so that importing the package does not pay for it)."""
+    numbers = np.arange(10000)[:, None]
+    return (ord("0") + numbers // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _shortest_digits(a: np.ndarray):
+    """``(digits, exponent, trimmed)`` for doubles ``a`` from 1e-4 up to
+    1e16: ``digits * 10**(exponent - 16)``, with ``10**16 <= digits <
+    10**17`` and ``trimmed`` trailing zeros, is the decimal that
+    ``float.__repr__`` writes for each value: the shortest that reads back
+    as the same double and, among those, the nearest (``dtoa`` mode 0).
+
+    Each value ``x = m * 2**e`` (``m`` of 53 bits) is scaled to ``X = x *
+    10**(16 - exponent)``, between ``10**16`` and ``10**17``. Dekker's
+    product gives ``X`` exactly as ``hi + lo``; in units of ``2**-sh``,
+    ``lo`` and the distances to both neighbouring doubles are int64, so
+    the test of a candidate is exact. The round-trip interval holds half
+    the gap to each neighbour (the gap below a power of two is half the
+    gap above it), with its ends when ``m`` is even. For ``q`` = 1 to 16,
+    a value keeps ``q`` trailing zeros while the multiple of ``10**q`` just
+    below ``X`` or just above it lies in the interval; where both do, the
+    nearer wins, and a tie goes to the even digit. With no ``q``, the 17
+    digits are ``X`` rounded to the nearest integer, a tie to even.
+    """
+    exponent = np.floor(np.log10(a)).astype(np.int64)  # may be 1 off next to a power of ten
+    hi, lo = _times_power_of_ten(a, 16 - exponent)
+    wrong = np.flatnonzero((hi < 1e16) | (hi > 1e17) | ((hi == 1e16) & (lo < 0)) | ((hi == 1e17) & (lo >= 0)))
+    if len(wrong):  # X below 10**16 or from 10**17 on
+        exponent[wrong] += np.where(hi[wrong] > 1e16, 1, -1)
+        hi[wrong], lo[wrong] = _times_power_of_ten(a[wrong], 16 - exponent[wrong])
+    fraction, power = np.frexp(a)  # a = fraction * 2**power, fraction in [0.5, 1)
+    sh = 39 - power + exponent  # lo is a multiple of 2**-sh (sh from 0 to 48)
+    units = (lo * _POW2[sh]).astype(np.int64)
+    whole = hi.astype(np.int64) + (units >> sh)  # X = whole + part / 2**sh
+    part = units & ((np.int64(1) << sh) - 1)
+    odd = (fraction * 2.0 ** 53).astype(np.int64) & 1  # an odd m excludes the interval's ends
+    gap = 2 * _POW5[16 - exponent]  # half the gap to a neighbour, in units of 2**-sh
+    above = gap - odd  # the largest distance above X that reads back
+    below = np.where(fraction == 0.5, gap // 2, above)  # m = 2**52 is even
+    # A multiple of 10**q at whole - r lies in the interval when r <= down,
+    # the one at whole - r + 10**q when 10**q - r <= up.
+    down = (below - part) >> sh
+    up = (above + part) >> sh
+    del hi, lo, units, fraction, power, odd, gap, above, below  # a writer's transient memory
+    trimmed = np.zeros(len(a), np.int64)
+    live = np.arange(len(a))
+    for q in range(1, 17):
+        at = whole[live]
+        r = at - at // _POW10_INT[q] * _POW10_INT[q]  # not %: NumPy divides by a scalar faster
+        live = live[(r <= down[live]) | (_POW10_INT[q] - r <= up[live])]
+        if not len(live):
+            break
+        trimmed[live] = q
+    step = _POW10_INT[trimmed]
+    r = whole % step
+    # Up, where only the multiple above reads back or it is the nearer one;
+    # the distances are compared only where both read back, and then both
+    # are below 16.
+    margin = ((np.minimum(step - r, 16) - np.minimum(r, 16)) << sh) - 2 * part
+    rounds_up = (step - r <= up) & (
+        (r > down) | (margin < 0) | ((margin == 0) & ((whole - r) // step % 2 == 1))
+    )
+    digits = whole - r + rounds_up * step
+    carried = digits == _POW10_INT[17]
+    return np.where(carried, _POW10_INT[16], digits), exponent + carried, np.where(carried, 16, trimmed)
+
+
+def _times_power_of_ten(a: np.ndarray, k: np.ndarray):
+    """``a * 10**k`` exactly, as ``hi + lo``: Dekker's product of two doubles
+    split into 26-bit halves, exact for ``0 <= k <= 22``, where ``10**k`` is
+    a double."""
+    hi = a * _POW10[k]
+    big = _SPLIT * a
+    a_hi = big - (big - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def _cpus() -> int:

@@ -59,6 +59,37 @@ def random_bank(seed, n, dim, meta=None):
     return KnowledgeBank(n=n, dim=dim, f_q=f_q, f_h=f_h, f_k=f_q + f_h, meta=meta or {})
 
 
+def hard_doubles(rng, size=20_000) -> np.ndarray:
+    """Finite doubles, both signs, on which a shortest round-trip formatter
+    is easy to get wrong, and ``size`` random bit patterns each from the
+    whole range and from [1e-4, 1e16), where ``repr`` writes no exponent."""
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-14, 54)), [float(f"1e{k}") for k in range(-5, 18)]])
+    cases = [
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),  # the halved gap below a 2**k
+        [9999999999999998.0, 1e-4 * (1 + 2**-52), 1e-4, 1e16, 0.0],  # where repr switches notation
+        [float(f"{10**17 - d}e{k}") for k in range(-22, 0) for d in (1, 2, 3, 5, 8)],  # 17 digits carry
+    ]
+    scattered = rng.normal(size=size // 17) * 10.0 ** rng.integers(-6, 18, size // 17)
+    cases += [[float(f"{x:.{digits - 1}e}") for x in scattered] for digits in range(1, 18)]
+    bits = rng.integers(0, 0x7FF0_0000_0000_0000, size, dtype=np.int64)
+    low, high = np.array([1e-4, 1e16]).view(np.int64)
+    cases += [bits.view(np.float64), rng.integers(low, high, size).view(np.float64)]
+    values = np.concatenate(cases)
+    return np.concatenate([values, -values])
+
+
+def first_float_text_mismatch(values):
+    """``None`` where ``jsonio._float_text`` writes each of ``values`` as
+    ``repr`` does, in chunks of ``jsonio.CHUNK_VALUES``; else the first value
+    it writes otherwise, its text and ``repr``'s."""
+    for at in range(0, len(values), jsonio.CHUNK_VALUES):
+        chunk = values[at:at + jsonio.CHUNK_VALUES]
+        for value, text in zip(chunk.tolist(), jsonio._float_text(chunk, ["\n"], "").split("\n")):
+            if text != repr(value):
+                return f"{value.hex()}: written as {text!r}, repr gives {value!r}"
+    return None
+
+
 def einsum_attention(batch, bank, params, upstream):
     """Reference cross-attention written with one einsum per contraction,
     indexed by block, head, row and bank entry.
@@ -110,4 +141,5 @@ def einsum_attention(batch, bank, params, upstream):
     return blocks, assoc, grads
 
 
-__all__ = ["make_dataset", "random_bank", "einsum_attention", "PEDESTRIAN", "BACKGROUND"]
+__all__ = ["make_dataset", "random_bank", "einsum_attention", "hard_doubles",
+           "first_float_text_mismatch", "PEDESTRIAN", "BACKGROUND"]

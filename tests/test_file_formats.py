@@ -24,7 +24,7 @@ from pedbank.cli import EXIT_PARSE, main
 from pedbank.embeddings import generate_synthetic, write_embedding_file
 from pedbank.errors import ParseError
 
-from support import pool_every_array, random_bank
+from support import first_float_text_mismatch, hard_doubles, pool_every_array, random_bank
 
 # sha256 of each file written by ``write_golden_files``; a writer that
 # changes a single byte of its output fails here.
@@ -184,6 +184,21 @@ def test_edge_floats_and_empty_axes_match_json_dumps(tmp_path):
     docs = [{"a": np.array(EDGE_FLOATS), "b": np.empty((2, 0)), "c": np.empty(0)}]
     jsonio.write_documents(tmp_path / "d.json", docs)
     assert (tmp_path / "d.json").read_text() == "".join(map(reference_line, docs))
+
+
+def test_float_text_is_repr_on_hard_doubles():
+    values = hard_doubles(np.random.default_rng(15))
+    assert first_float_text_mismatch(values) is None
+
+
+@pytest.mark.parametrize("value", [1e-7, 1e300, -5e-324, 1e16])
+@pytest.mark.parametrize("shape", [(300,), (3, 4, 25)], ids=["flat", "nested"])
+def test_a_chunk_of_fallback_values_keeps_its_bytes(value, shape):
+    chunk = np.full(shape, value)
+    chunk.flat[::7] = 0.0  # with zeros among them
+    assert jsonio._format_chunk(chunk) == json.dumps(chunk.tolist())[1:-1]
+    chunk.flat[::7] = value
+    assert jsonio._format_chunk(chunk) == json.dumps(chunk.tolist())[1:-1]
 
 
 def _pid_chunk(chunk):
