@@ -37,6 +37,11 @@ MODES = (PROPOSAL, QUERY)
 
 ATTENTION_PARAMS_VERSION = 1
 _PARAM_ARRAYS = ("w_q", "w_k", "w_v", "w_o", "gain", "bias")
+# The longest inner dimension the value product ``assoc @ b`` sums in one
+# BLAS call; longer ones are cut into nearly equal blocks added in a fixed
+# order. On OpenBLAS 0.3.31 (Haswell kernels, two CPUs) only products with
+# an inner dimension above 256 changed bits with the thread count.
+INNER_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -247,7 +252,10 @@ def _project(bank: KnowledgeBank, params: AttentionParams):
 
 def _forward_parts(batch: FeatureBatch, bank: KnowledgeBank, params: AttentionParams):
     """The rows ``x`` ``(M, c)``, the association ``(M, heads*n)`` and the
-    pre-norm sums ``(M, c)``, with every row of every block as one row."""
+    pre-norm sums ``(M, c)``, with every row of every block as one row.
+    The value product sums over the ``heads*n`` bank entries in consecutive
+    blocks of at most ``INNER_MAX``, added in order, so that its bits do not
+    depend on the BLAS thread count."""
     _check_compatible(batch, bank, params)
     x = batch.blocks.reshape(-1, batch.c)
     _, _, a, b = _project(bank, params)
@@ -258,7 +266,12 @@ def _forward_parts(batch: FeatureBatch, bank: KnowledgeBank, params: AttentionPa
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
-    pre = x + assoc @ b
+    parts = -(-len(b) // INNER_MAX)
+    cuts = [len(b) * i // parts for i in range(parts + 1)]
+    pre = assoc[:, :cuts[1]] @ b[:cuts[1]]
+    for i, j in zip(cuts[1:-1], cuts[2:]):
+        pre += assoc[:, i:j] @ b[i:j]
+    pre += x
     if not np.all(np.isfinite(pre)):
         raise NumericalError("non-finite pre-normalization features")
     return x, assoc, pre

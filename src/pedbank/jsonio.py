@@ -16,8 +16,9 @@ about ``CHUNK_VALUES`` values each. The float text of a chunk, and of
 shortest digits that read back as the same double with exact integer
 arithmetic, for every value from 1e-4 up to 1e16, and lays the text out in
 a byte matrix; zeros are written directly, and values outside that range,
-where ``repr`` writes an exponent, take ``float.__repr__``. The bytes are
-those ``json.dumps`` and ``repr`` write.
+where ``repr`` writes an exponent, leave a ``%a`` in the text that one ``%``
+format fills with their ``float.__repr__``. The bytes are those
+``json.dumps`` and ``repr`` write.
 
 Large inputs are read and written on every CPU, by one size rule (at least
 ``POOL_MIN_VALUES`` values, on a platform that reports more than one CPU
@@ -186,10 +187,11 @@ def write_documents(path, docs) -> None:
     """Write each document as one line of JSON, through ``replacing``.
 
     Values that are NumPy arrays must be float64 and finite; every other
-    value goes through ``json.dumps``. Each array is checked right before it
-    is streamed, and a rejected value (``ValueError``) or any later failure
-    removes the new file, so an existing file keeps its bytes; a pipe or a
-    device, written in place, may have received part of the text.
+    value, and the float of a 0-d array, goes through ``json.dumps``. Each
+    array is checked right before it is streamed, and a rejected value
+    (``ValueError``) or any later failure removes the new file, so an
+    existing file keeps its bytes; a pipe or a device, written in place, may
+    have received part of the text.
     """
     with replacing(path) as fh:
         for doc in docs:
@@ -199,9 +201,11 @@ def write_documents(path, docs) -> None:
                 if isinstance(value, np.ndarray):
                     if value.dtype != np.float64 or not np.isfinite(value).all():
                         raise ValueError(f"{key} must be a finite float64 array")
-                    _write_array(fh, value)
-                else:
-                    fh.write(json.dumps(value, sort_keys=True, allow_nan=False))
+                    if value.ndim:
+                        _write_array(fh, value)
+                        continue
+                    value = value.tolist()  # a 0-d array is one float
+                fh.write(json.dumps(value, sort_keys=True, allow_nan=False))
             fh.write("}\n")
 
 
@@ -289,7 +293,8 @@ def _float_text(arr: np.ndarray, separators, end: str) -> str:
     ``float.__repr__`` writes it and followed by ``separators[k]``, where
     ``k`` counts the axes after the first that the value ends (0 inside the
     last axis, 1 at the end of a row of a matrix), or by ``end`` if it is
-    the last value.
+    the last value. ``separators`` and ``end`` hold no ``%``: the writer's
+    brackets and ``", "``, and the CSV's ``,`` and ``\\n``.
 
     Values from 1e-4 up to 1e16, where ``repr`` writes no exponent, take
     the digits of ``_shortest_digits``, laid out by ``_lay_out``; zeros are
@@ -329,8 +334,11 @@ def _lay_out(values, digits, exponent, trimmed, fallback, separators, after) -> 
     """``_float_text`` from the decimals of ``_shortest_digits``: a byte matrix
     with one row per value (a sign, the integer digits, ``.``, the fraction
     digits and the separator) and a mask of the bytes each row writes,
-    compressed into one string. The rows of ``fallback`` values write only
-    their separator; each value's ``repr`` is put in where its row starts.
+    compressed into one string. The rows of ``fallback`` values write ``%a``
+    in their sign and decimal-point columns, and one ``%`` format of the
+    bytes fills in each such value's ``repr``; the separators hold no ``%``.
+    A bytes format finds each ``%`` with ``memchr``: a ``str`` format took
+    0.30 ms, against 0.03 ms, to step through a 16 384-value chunk of none.
     """
     point = 16 - exponent  # digits after the decimal point, 1 to 20
     scale = _POW10_INT[np.minimum(point, 17)]
@@ -363,8 +371,8 @@ def _lay_out(values, digits, exponent, trimmed, fallback, separators, after) -> 
     text[:] = row
     keep = np.empty(text.shape, bool)
     keep[:] = row != 0
-    keep[:, 0] = sign = np.signbit(values) & ~fallback
-    keep[fallback, frac_at - 1] = False
+    keep[:, 0] = np.signbit(values) | fallback
+    text[np.ix_(fallback, [0, frac_at - 1])] = ord("%"), ord("a")
     text[:, 1:frac_at - 1] = ascii[:, :int_w]
     np.greater_equal(np.arange(int_w, dtype=np.int8), (int_w - int_count).astype(np.int8)[:, None],
                      out=keep[:, 1:frac_at - 1])
@@ -376,14 +384,7 @@ def _lay_out(values, digits, exponent, trimmed, fallback, separators, after) -> 
     keep[ends, sep_at:] = table[after[ends]] != 0
     packed = text[keep]
     del text, keep, ascii
-    out = str(packed, "ascii")
-    if not fallback.any():
-        return out
-    lengths = sign + int_count + ~fallback + frac_count + np.count_nonzero(table, axis=1)[after]
-    at = (np.cumsum(lengths) - lengths)[fallback].tolist()
-    pieces = [out[i:j] for i, j in zip([0, *at], [*at, len(out)])]
-    texts = map(repr, values[fallback].tolist())
-    return "".join(itertools.chain.from_iterable(zip(pieces, texts))) + pieces[-1]
+    return str(packed.tobytes() % tuple(values[fallback].tolist()), "ascii")
 
 
 def _put_digits(out: np.ndarray, number: np.ndarray) -> None:

@@ -43,6 +43,16 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def run_in_subprocess(*argv, **env):
+    """``python -m pedbank *argv`` in a new interpreter that imports this
+    checkout's package, with ``env`` added to the environment."""
+    src = Path(jsonio.__file__).resolve().parent.parent
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "pedbank", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
 def readme_cli_commands():
     """The ``pedbank`` lines of the README's CLI block as argv lists, by subcommand."""
     section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
@@ -370,16 +380,29 @@ class TestComplement:
             return [str(a) for a in ("complement", bank_file, features, tmp_path / out,
                                      "--d-model", 4, "--heads", 2)]
 
-        src = Path(jsonio.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-            str(src), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "pedbank", *argv("pooled.json")],
-                              capture_output=True, text=True, env=env, timeout=300)
+        proc = run_in_subprocess(*argv("pooled.json"))
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         assert proc.stdout.count("wrote complemented batch") == 1
         monkeypatch.setattr(jsonio, "POOL_MIN_VALUES", blocks.size + 1)
         assert main(argv("in_process.json")) == EXIT_OK
         assert (tmp_path / "pooled.json").read_bytes() == (tmp_path / "in_process.json").read_bytes()
+
+    def test_the_output_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # 8 heads over 50 codewords: the value product sums over 400 bank
+        # entries, more than a multithreaded BLAS sums in one fixed order
+        bank = tmp_path / "bank.json"
+        save_bank(random_bank(seed=8, n=50, dim=16), bank)
+        blocks = np.random.default_rng(21).normal(size=(200, 1, 1, 32))
+        features = tmp_path / "features.json"
+        save_feature_batch(FeatureBatch(mode="proposal", blocks=blocks), features)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out_{threads}.json"
+            proc = run_in_subprocess("complement", bank, features, out, "--d-model", 8, "--heads", 8,
+                                     OPENBLAS_NUM_THREADS=threads)
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("error, code", [

@@ -199,6 +199,13 @@ def test_a_chunk_of_fallback_values_keeps_its_bytes(value, shape):
     assert jsonio._format_chunk(chunk) == json.dumps(chunk.tolist())[1:-1]
     chunk.flat[::7] = value
     assert jsonio._format_chunk(chunk) == json.dumps(chunk.tolist())[1:-1]
+    # distinct values among N(0,1) ones: first, at every row end, last, and in half of them
+    rng = np.random.default_rng(16)
+    for spots in (np.s_[:1, :1], np.s_[:, -1:], np.s_[-1:, -1:], np.s_[:, ::2]):
+        mixed = rng.normal(size=shape)
+        rows = mixed.reshape(-1, shape[-1])
+        rows[spots] = value * rng.uniform(1, 2, rows[spots].shape)
+        assert jsonio._format_chunk(mixed) == json.dumps(mixed.tolist())[1:-1]
 
 
 def _pid_chunk(chunk):
@@ -377,7 +384,8 @@ def test_a_rejected_document_leaves_an_existing_file_unchanged(tmp_path, doc):
     [{"data": np.arange(6.0).reshape(2, 3)}],
     [{"data": np.empty((3, 0))}, {"data": np.empty((2, 0, 4)), "n": 2}],
     [],
-], ids=["empty-document", "only-an-array", "zero-length-inner-axis", "no-documents"])
+    [{"x": np.array(1.5), "y": np.array(-1e-7), "z": np.zeros(2)}],
+], ids=["empty-document", "only-an-array", "zero-length-inner-axis", "no-documents", "0-d-arrays"])
 def test_edge_documents_match_json_dumps(tmp_path, docs):
     jsonio.write_documents(tmp_path / "d.json", docs)
     assert (tmp_path / "d.json").read_text() == "".join(map(reference_line, docs))
