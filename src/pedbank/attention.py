@@ -56,10 +56,7 @@ class FeatureBatch:
         if self.mode not in MODES:
             raise PreconditionError(f"mode must be one of {MODES}, got {self.mode!r}")
         shape = (None,) * 4 if self.mode == PROPOSAL else (None, 1, None)
-        arr = check_array(f"{self.mode} blocks", self.blocks, shape)
-        object.__setattr__(self, "blocks", arr)
-        if min(arr.shape) < 1:
-            raise DimensionError(f"all block sizes must be positive, got shape {arr.shape}")
+        object.__setattr__(self, "blocks", check_array(f"{self.mode} blocks", self.blocks, shape))
 
     @property
     def m(self) -> int:
@@ -111,11 +108,11 @@ class AttentionParams:
         object.__setattr__(self, "eps", float(check_array("eps", self.eps)))
         if not self.eps > 0:
             raise PreconditionError("eps must be positive")
-        for name in ("w_q", "w_k"):  # c and d are read off these two
-            shape = (self.heads, None, self.d_model)
-            object.__setattr__(self, name, check_array(name, getattr(self, name), shape))
-        for name, shape in param_shapes(self.heads, self.d_model, self.c, self.d).items():
-            arr = check_array(name, getattr(self, name), shape)
+        shapes = param_shapes(self.heads, self.d_model, None, None)
+        for name in _PARAM_ARRAYS:  # each checked once, w_q and w_k first
+            if name == "w_v":  # c and d are read off w_q and w_k from here on
+                shapes = param_shapes(self.heads, self.d_model, self.c, self.d)
+            arr = check_array(name, getattr(self, name), shapes[name])
             object.__setattr__(self, name, owned_readonly(arr))
 
     @property

@@ -1,9 +1,13 @@
 """Portable bank artifact bundling codewords, hints, and their composition.
 
-The file is a single JSON document with round-trip exact floats, so saves
-are byte-identical for a given bank and loads reproduce every coordinate.
-The composition ``f_k = f_q + f_h`` is re-derived and enforced both before
-writing and after reading, which makes hand-edited files detectable.
+A bank is built from its codewords ``f_q``, its hints ``f_h`` and a
+string-to-string ``meta`` map; the sizes ``n`` and ``dim`` are read off the
+arrays, and the composition ``f_k = f_q + f_h`` is computed once, at
+construction. The file is a single JSON document with round-trip exact
+floats, so saves are byte-identical for a given bank and loads reproduce
+every coordinate. The file also holds the format version, the sizes and
+``f_k``; ``load_bank`` checks each against the arrays and the derived
+composition, which makes hand-edited files detectable.
 """
 
 from __future__ import annotations
@@ -13,14 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .errors import (
-    DimensionError,
-    ParseError,
-    PreconditionError,
-    check_array,
-    check_sizes,
-    owned_readonly,
-)
+from .errors import ParseError, PreconditionError, check_array, owned_readonly
 from .hints import HintSet
 from .quantizer import Codebook
 
@@ -30,63 +27,57 @@ _MATRICES = ("f_q", "f_h", "f_k")
 
 @dataclass(frozen=True)
 class KnowledgeBank:
-    """Versioned container for the quantized codewords ``f_q``, the learned
-    hints ``f_h``, and the composed features ``f_k``.
+    """The quantized codewords ``f_q``, the learned hints ``f_h``, the composed
+    features ``f_k = f_q + f_h`` and a string-to-string ``meta`` map.
 
-    The bank keeps its own read-only float64 arrays (``errors.owned_readonly``),
-    so once built it never changes.
+    The bank keeps its own read-only float64 arrays (``errors.owned_readonly``)
+    and its own copy of ``meta``, so a caller's later writes to the arrays or
+    the dict it passed in do not change the bank. ``dataclasses.replace``
+    computes ``f_k`` again.
     """
 
-    n: int
-    dim: int
     f_q: np.ndarray
     f_h: np.ndarray
-    f_k: np.ndarray
+    f_k: np.ndarray = field(init=False)
     meta: dict[str, str] = field(default_factory=dict)
-    version: int = BANK_FORMAT_VERSION
 
     def __post_init__(self):
+        f_q = owned_readonly(check_array("f_q", self.f_q, (None, None)))
+        f_h = owned_readonly(check_array("f_h", self.f_h, f_q.shape))
+        f_k = f_q + f_h
+        f_k.flags.writeable = False  # a new array, so the bank keeps it without a copy
         self.validate()
+        for name, value in (("f_q", f_q), ("f_h", f_h), ("f_k", f_k), ("meta", dict(self.meta))):
+            object.__setattr__(self, name, value)
 
     def validate(self) -> None:
-        """Check every invariant, sizes before arrays; also called by ``save_bank``."""
-        if type(self.version) is not int or self.version != BANK_FORMAT_VERSION:
-            raise PreconditionError(
-                f"unsupported bank format version {self.version!r} "
-                f"(supported: {BANK_FORMAT_VERSION})"
-            )
-        check_sizes(n=self.n, dim=self.dim)
-        for name in _MATRICES:
-            arr = check_array(name, getattr(self, name), (self.n, self.dim))
-            object.__setattr__(self, name, owned_readonly(arr))
-        if not np.array_equal(self.f_k, self.f_q + self.f_h):
-            raise PreconditionError(
-                "composed features f_k must equal f_q + f_h exactly"
-            )
-        if not all(
+        """Check that ``meta`` maps strings to strings; also called by
+        ``save_bank``, since a caller can still write into ``bank.meta``."""
+        if not isinstance(self.meta, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in self.meta.items()
         ):
             raise PreconditionError("meta must map strings to strings")
 
+    @property
+    def n(self) -> int:
+        return self.f_q.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.f_q.shape[1]
+
 
 def assemble_bank(codebook: Codebook, hints: HintSet, meta: dict[str, str]) -> KnowledgeBank:
-    """Compose ``f_k = f_q + f_h`` and bundle it with provenance metadata."""
-    if (codebook.n, codebook.dim) != (hints.n, hints.dim):
-        raise DimensionError(
-            f"codebook (n, dim)=({codebook.n}, {codebook.dim}) does not match "
-            f"hints ({hints.n}, {hints.dim})"
-        )
-    f_q, f_h = codebook.centroids, hints.hints
-    return KnowledgeBank(
-        n=codebook.n, dim=codebook.dim, f_q=f_q, f_h=f_h, f_k=f_q + f_h, meta=dict(meta)
-    )
+    """Bundle the codewords and hints, composed as ``f_k = f_q + f_h``, with
+    provenance metadata; hints of another shape raise ``DimensionError``."""
+    return KnowledgeBank(f_q=codebook.centroids, f_h=hints.hints, meta=meta)
 
 
 def save_bank(bank: KnowledgeBank, path) -> None:
     """Write the bank as one JSON document; output bytes are deterministic."""
     bank.validate()
     jsonio.write_documents(path, [{
-        "version": bank.version, "n": bank.n, "dim": bank.dim, "meta": bank.meta,
+        "version": BANK_FORMAT_VERSION, "n": bank.n, "dim": bank.dim, "meta": bank.meta,
         "f_q": bank.f_q, "f_h": bank.f_h, "f_k": bank.f_k,
     }])
 
@@ -94,14 +85,16 @@ def save_bank(bank: KnowledgeBank, path) -> None:
 def load_bank(path) -> KnowledgeBank:
     """Parse and validate a bank file; a tampered composition is rejected."""
     doc = jsonio.read_document(path, ("version", "n", "dim", "meta") + _MATRICES)
-    version = jsonio.read_version(doc, path, BANK_FORMAT_VERSION, "bank format")
+    jsonio.read_version(doc, path, BANK_FORMAT_VERSION, "bank format")
     n, dim = jsonio.read_size(doc, "n", path), jsonio.read_size(doc, "dim", path)
-    matrices = {key: jsonio.read_array(doc, key, path, (n, dim)) for key in _MATRICES}
-    for arr in matrices.values():
-        arr.flags.writeable = False  # handed over, so the bank keeps them without a copy
+    f_q, f_h, f_k = (jsonio.read_array(doc, key, path, (n, dim)) for key in _MATRICES)
+    f_q.flags.writeable = f_h.flags.writeable = False  # handed over: kept without a copy
     meta = doc["meta"]
     if not isinstance(meta, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
     ):
         raise ParseError(f"{path}: meta must map strings to strings")
-    return KnowledgeBank(n=n, dim=dim, meta=meta, version=version, **matrices)
+    bank = KnowledgeBank(f_q=f_q, f_h=f_h, meta=meta)
+    if not np.array_equal(f_k, bank.f_k):
+        raise PreconditionError("composed features f_k must equal f_q + f_h exactly")
+    return bank

@@ -124,7 +124,7 @@ def cmd_build_bank(args) -> int:
 def cmd_inspect(args) -> int:
     loaded = bank.load_bank(args.bank)
     dataset = embeddings.parse_embedding_file(args.embeddings, normalize=args.normalize)
-    codebook = quantizer.Codebook(n=loaded.n, dim=loaded.dim, centroids=loaded.f_q)
+    codebook = quantizer.Codebook(loaded.f_q)
     assigned = quantizer.assignment_report(dataset, codebook).tolist()
     counts = np.bincount(assigned, minlength=loaded.n).tolist()
     groups: dict[str, list[str]] = {str(i): [] for i in range(loaded.n)}

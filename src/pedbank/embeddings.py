@@ -41,16 +41,14 @@ class EmbeddingDataset:
 
     def __post_init__(self):
         ids, labels = tuple(self.ids), tuple(self.labels)
-        vectors = owned_readonly(check_array("vectors", self.vectors, (None, None)))
+        # one row per id; with no ids the matrix holds no values and may keep its width
+        vectors = owned_readonly(check_array("vectors", self.vectors, (len(ids), None)))
         for name, value in (("ids", ids), ("labels", labels), ("vectors", vectors)):
             object.__setattr__(self, name, value)
-        if not len(ids) == len(labels) == vectors.shape[0]:
+        if len(labels) != len(ids):
             raise DimensionError(
-                f"need one id and one label per row of vectors, got "
-                f"{len(ids)} ids, {len(labels)} labels and vectors of shape {vectors.shape}"
+                f"need one label per id, got {len(ids)} ids and {len(labels)} labels"
             )
-        if ids and vectors.shape[1] == 0:
-            raise DimensionError("vectors must have at least one coordinate")
         if not all(isinstance(i, str) and i for i in ids):
             raise PreconditionError("record ids must be non-empty strings")
         if len(set(ids)) != len(ids):

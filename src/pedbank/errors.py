@@ -40,7 +40,9 @@ def check_seed(seed) -> None:
 
 def check_array(name: str, value, shape: tuple = ()) -> np.ndarray:
     """``value`` as a finite float64 array of ``shape``, where ``None`` allows
-    any length on that axis.
+    any positive length on that axis, as in ``jsonio.read_array``. A shape
+    that fixes an axis at 0 describes an array with no values, whose ``None``
+    axes may then take any length, 0 included.
 
     Ints and floats are numbers; strings, bools, objects and complex values
     are not (``PreconditionError``), also where NumPy would promote a bool
@@ -57,8 +59,11 @@ def check_array(name: str, value, shape: tuple = ()) -> np.ndarray:
         isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat
     ):
         raise PreconditionError(f"{name} must hold int or float numbers, got a bool")
-    if arr.ndim != len(shape) or any(w not in (None, n) for w, n in zip(shape, arr.shape)):
-        expected = ", ".join("any" if w is None else str(w) for w in shape)
+    empty = 0 in shape
+    if arr.ndim != len(shape) or any(
+        n != w if w is not None else n < 1 and not empty for w, n in zip(shape, arr.shape)
+    ):
+        expected = ", ".join("positive" if w is None else str(w) for w in shape)
         raise DimensionError(f"{name} must have shape ({expected}), got {arr.shape}")
     arr = arr.astype(np.float64, copy=False)
     if not np.isfinite(arr).all():

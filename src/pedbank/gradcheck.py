@@ -80,8 +80,8 @@ def classifier_check(seed: int, negate: str | None = None) -> dict[str, float]:
     """
     dim, n, hidden = CLF_DIM, CLF_N, CLF_HIDDEN
     rng = np.random.default_rng(seed)
-    codebook = Codebook(n=n, dim=dim, centroids=rng.normal(size=(n, dim)))
-    hints = HintSet(n=n, dim=dim, hints=rng.normal(scale=0.1, size=(n, dim)))
+    codebook = Codebook(rng.normal(size=(n, dim)))
+    hints = HintSet(rng.normal(scale=0.1, size=(n, dim)))
     clf = ClassifierParams(
         w1=rng.normal(scale=1.0 / np.sqrt(dim), size=(hidden, dim)),
         b1=rng.normal(scale=0.1, size=hidden),
@@ -129,9 +129,7 @@ def attention_check(seed: int, negate: str | None = None) -> dict[str, float]:
     n, d, d_m, heads = ATTN_N, ATTN_D, ATTN_D_M, ATTN_HEADS
     rng = np.random.default_rng(seed)
     batch = FeatureBatch(mode=PROPOSAL, blocks=rng.normal(size=(m, h, w, c)))
-    f_q = rng.normal(size=(n, d))
-    f_h = rng.normal(scale=0.1, size=(n, d))
-    bank = KnowledgeBank(n=n, dim=d, f_q=f_q, f_h=f_h, f_k=f_q + f_h, meta={})
+    bank = KnowledgeBank(rng.normal(size=(n, d)), rng.normal(scale=0.1, size=(n, d)))
     params = init_attention(c=c, d=d, d_m=d_m, heads=heads, seed=seed + 1)
     upstream = rng.normal(size=batch.blocks.shape)
     grads = attention_gradients(batch, bank, params, upstream)

@@ -37,15 +37,12 @@ HISTORY_COLUMNS = ("loss", "ped_index", "ped_loss", "bg_index", "bg_loss")
 
 @dataclass(frozen=True)
 class HintSet:
-    """One additive hint row per codeword."""
+    """One additive hint row per codeword, ``(n, dim)``."""
 
-    n: int
-    dim: int
     hints: np.ndarray
 
     def __post_init__(self):
-        check_sizes(n=self.n, dim=self.dim)
-        object.__setattr__(self, "hints", check_array("hints", self.hints, (self.n, self.dim)))
+        object.__setattr__(self, "hints", check_array("hints", self.hints, (None, None)))
 
 
 @dataclass
@@ -59,8 +56,6 @@ class ClassifierParams:
 
     def __post_init__(self):
         self.w1 = check_array("w1", self.w1, (None, None))
-        if self.hidden < 1:
-            raise DimensionError("w1 must have at least one hidden row")
         self.b1 = check_array("b1", self.b1, (self.hidden,))
         self.w2 = check_array("w2", self.w2, (1, self.hidden))
         self.b2 = float(check_array("b2", self.b2))
@@ -127,7 +122,7 @@ def init_hints(n: int, dim: int, seed: int) -> HintSet:
     check_sizes(n=n, dim=dim)
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    return HintSet(n=n, dim=dim, hints=rng.normal(0.0, 0.01, size=(n, dim)))
+    return HintSet(rng.normal(0.0, 0.01, size=(n, dim)))
 
 
 def init_classifier(dim: int, hidden: int, seed: int) -> ClassifierParams:
@@ -147,7 +142,7 @@ def forward_classify(index, codebook: Codebook, hints: HintSet, classifier: Clas
     its routing index (``quantize`` or ``route``), so callers route first and
     hint training cannot change which codeword a probe selects.
     """
-    if (codebook.n, codebook.dim) != (hints.n, hints.dim):
+    if codebook.centroids.shape != hints.hints.shape:
         raise DimensionError("codebook and hints disagree on (n, dim)")
     if classifier.dim != codebook.dim:
         raise DimensionError(
@@ -316,8 +311,7 @@ def train_hints(
         if pending:
             w1 -= u[:, :pending] @ v[:pending]
     history = dict(zip(HISTORY_COLUMNS, map(np.array, zip(*rows))))
-    hint_set = HintSet(n=codebook.n, dim=codebook.dim, hints=h)
-    return hint_set, ClassifierParams(w1=w1, b1=b1, w2=w2, b2=b2), history
+    return HintSet(h), ClassifierParams(w1=w1, b1=b1, w2=w2, b2=b2), history
 
 
 def write_history(history: dict[str, np.ndarray], path) -> None:

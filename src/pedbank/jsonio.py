@@ -140,13 +140,12 @@ def read_document(path, keys, flat=None) -> dict:
     return doc
 
 
-def read_version(doc: dict, where, supported: int, kind: str) -> int:
+def read_version(doc: dict, where, supported: int, kind: str) -> None:
     version = doc["version"]
     if type(version) is not int or version != supported:
         raise ParseError(
             f"{where}: unsupported {kind} version {version!r} (supported: {supported})"
         )
-    return version
 
 
 def read_size(doc: dict, key: str, where) -> int:

@@ -34,18 +34,24 @@ class KMeansConfig:
 
 @dataclass(frozen=True)
 class Codebook:
-    """``n`` codeword rows of dimension ``dim``, frozen after clustering."""
+    """``n`` pairwise distinct codeword rows of dimension ``dim``, frozen
+    after clustering; both sizes are read off ``centroids``."""
 
-    n: int
-    dim: int
     centroids: np.ndarray
 
     def __post_init__(self):
-        check_sizes(n=self.n, dim=self.dim)
-        cents = check_array("centroids", self.centroids, (self.n, self.dim))
+        cents = check_array("centroids", self.centroids, (None, None))
         object.__setattr__(self, "centroids", cents)
         if np.unique(cents, axis=0).shape[0] != self.n:
             raise PreconditionError("codebook rows must be pairwise distinct")
+
+    @property
+    def n(self) -> int:
+        return self.centroids.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.centroids.shape[1]
 
 
 def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -122,7 +128,7 @@ def kmeans_with_objectives(
         obj = new_obj
         if improvement < config.tol:
             break
-    return Codebook(n=config.n, dim=int(X.shape[1]), centroids=centroids), objectives
+    return Codebook(centroids), objectives
 
 
 def route(points: np.ndarray, codebook: Codebook) -> np.ndarray:

@@ -56,7 +56,7 @@ def random_bank(seed, n, dim, meta=None):
     rng = np.random.default_rng(seed)
     f_q = rng.normal(size=(n, dim))
     f_h = rng.normal(scale=0.1, size=(n, dim))
-    return KnowledgeBank(n=n, dim=dim, f_q=f_q, f_h=f_h, f_k=f_q + f_h, meta=meta or {})
+    return KnowledgeBank(f_q=f_q, f_h=f_h, meta=meta or {})
 
 
 def hard_doubles(rng, size=20_000) -> np.ndarray:

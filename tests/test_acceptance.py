@@ -40,7 +40,7 @@ def run(*argv):
 
 def test_quantization_matches_exhaustive_search():
     rng = np.random.default_rng(42)
-    codebook = Codebook(n=50, dim=512, centroids=rng.normal(size=(50, 512)))
+    codebook = Codebook(rng.normal(size=(50, 512)))
     probes = rng.normal(size=(1000, 512))
     start = time.perf_counter()
     picked = [quantize(p, codebook) for p in probes]
@@ -135,10 +135,7 @@ def test_attention_laws():
     )
 
     perm = np.random.default_rng(1).permutation(bank.n)
-    shuffled = KnowledgeBank(
-        n=bank.n, dim=bank.dim,
-        f_q=bank.f_q[perm], f_h=bank.f_h[perm], f_k=bank.f_k[perm],
-    )
+    shuffled = KnowledgeBank(f_q=bank.f_q[perm], f_h=bank.f_h[perm])
     out_perm, _ = cross_attend(batch, shuffled, params)
     perm_diff = float(np.max(np.abs(out.blocks - out_perm.blocks)))
 

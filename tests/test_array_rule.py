@@ -15,9 +15,9 @@ PARAM_ARRAYS = {
     name: getattr(PARAMS, name) for name in ("w_q", "w_k", "w_v", "w_o", "gain", "bias")
 }
 CLASSIFIER = {"w1": [[1.0, 2.0], [3.0, 4.0]], "b1": [0.5, -0.5], "w2": [[1.0, -1.0]], "b2": 0.5}
-BANK = {"f_q": [[1.0, 2.0]], "f_h": [[0.0, 0.5]], "f_k": [[1.0, 2.5]]}
+BANK = {"f_q": [[1.0, 2.0]], "f_h": [[0.0, 0.5]]}
 QUERY = FeatureBatch("query", [[[3.0, 4.0]]])
-ONE_ROW_BANK = KnowledgeBank(n=1, dim=2, **BANK)
+ONE_ROW_BANK = KnowledgeBank(**BANK)
 
 
 def with_value(values, name, value):
@@ -26,8 +26,8 @@ def with_value(values, name, value):
 
 # call site -> (a valid value, a builder that passes the value in at that site)
 CALL_SITES = {
-    "Codebook.centroids": (np.eye(2), lambda v: Codebook(n=2, dim=2, centroids=v)),
-    "HintSet.hints": (np.eye(2), lambda v: HintSet(n=2, dim=2, hints=v)),
+    "Codebook.centroids": (np.eye(2), lambda v: Codebook(v)),
+    "HintSet.hints": (np.eye(2), lambda v: HintSet(v)),
     **{
         f"ClassifierParams.{name}": (
             CLASSIFIER[name],
@@ -37,7 +37,7 @@ CALL_SITES = {
     },
     **{
         f"KnowledgeBank.{name}": (
-            BANK[name], lambda v, name=name: KnowledgeBank(n=1, dim=2, **with_value(BANK, name, v))
+            BANK[name], lambda v, name=name: KnowledgeBank(**with_value(BANK, name, v))
         )
         for name in BANK
     },
@@ -56,7 +56,7 @@ CALL_SITES = {
         [[1.0, 2.0]], lambda v: EmbeddingDataset(ids=("a",), labels=(PEDESTRIAN,), vectors=v)
     ),
     "quantize probe": (
-        [1.0, 0.0], lambda v: quantize(v, Codebook(n=2, dim=2, centroids=np.eye(2)))
+        [1.0, 0.0], lambda v: quantize(v, Codebook(np.eye(2)))
     ),
     "attention_gradients upstream": (
         [[[0.5, 1.0]]], lambda v: attention_gradients(QUERY, ONE_ROW_BANK, PARAMS, v)
@@ -125,6 +125,29 @@ def test_float64_input_is_kept_and_ints_are_converted():
     converted = check_array("a", [[1, 2, 3]], (None, 3))
     assert converted.dtype == np.float64 and converted.tolist() == [[1.0, 2.0, 3.0]]
 
+
+
+def test_none_allows_any_positive_length():
+    assert check_array("a", np.ones((1, 3)), (None, None)).shape == (1, 3)
+    for shape in [(0, 3), (3, 0), (0, 0)]:
+        with pytest.raises(DimensionError, match=r"shape \(positive, positive\)"):
+            check_array("a", np.ones(shape), (None, None))
+
+
+def test_an_axis_fixed_at_zero_lets_the_none_axes_take_any_length():
+    # EmbeddingDataset's empty matrices: (0, 0) for an empty file, (0, dim) for an empty split
+    for shape in [(0, 0), (0, 4)]:
+        assert check_array("a", np.ones(shape), (0, None)).shape == shape
+    with pytest.raises(DimensionError):
+        check_array("a", np.ones((1, 0)), (1, None))
+
+
+@pytest.mark.parametrize("hidden, dim", [(2, 0), (0, 2)])
+def test_classifier_rejects_a_w1_with_no_values(hidden, dim):
+    with pytest.raises(DimensionError, match="w1 must have shape"):
+        ClassifierParams(
+            w1=np.ones((hidden, dim)), b1=np.zeros(hidden), w2=np.ones((1, hidden)), b2=0.0
+        )
 
 
 def test_bool_scan_also_finds_bools_inside_nested_arrays():

@@ -219,11 +219,7 @@ class TestForward:
     def test_invariant_to_bank_row_order(self):
         batch, bank, params = small_setup(seed=9, n=12, d=16)
         perm = np.random.default_rng(1).permutation(bank.n)
-        shuffled = KnowledgeBank(
-            n=bank.n, dim=bank.dim,
-            f_q=bank.f_q[perm], f_h=bank.f_h[perm], f_k=bank.f_k[perm],
-            meta=dict(bank.meta),
-        )
+        shuffled = KnowledgeBank(f_q=bank.f_q[perm], f_h=bank.f_h[perm], meta=bank.meta)
         out, _ = cross_attend(batch, bank, params)
         out_shuffled, _ = cross_attend(batch, shuffled, params)
         assert np.max(np.abs(out.blocks - out_shuffled.blocks)) <= 1e-10

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -14,10 +15,10 @@ from support import random_bank
 class TestAssemble:
     def test_composition_holds(self):
         rng = np.random.default_rng(0)
-        cb = Codebook(n=4, dim=6, centroids=rng.normal(size=(4, 6)))
-        hs = HintSet(n=4, dim=6, hints=rng.normal(scale=0.01, size=(4, 6)))
+        cb = Codebook(rng.normal(size=(4, 6)))
+        hs = HintSet(rng.normal(scale=0.01, size=(4, 6)))
         bank = assemble_bank(cb, hs, meta={"source": "unit"})
-        assert bank.version == BANK_FORMAT_VERSION
+        assert (bank.n, bank.dim) == (4, 6)
         np.testing.assert_array_equal(bank.f_q, cb.centroids)
         np.testing.assert_array_equal(bank.f_h, hs.hints)
         np.testing.assert_array_equal(bank.f_k, cb.centroids + hs.hints)
@@ -25,8 +26,8 @@ class TestAssemble:
 
     def test_composition_matches_elementwise_loop(self):
         rng = np.random.default_rng(13)
-        cb = Codebook(n=6, dim=5, centroids=rng.normal(size=(6, 5)))
-        hs = HintSet(n=6, dim=5, hints=rng.normal(scale=0.01, size=(6, 5)))
+        cb = Codebook(rng.normal(size=(6, 5)))
+        hs = HintSet(rng.normal(scale=0.01, size=(6, 5)))
         composed = assemble_bank(cb, hs, meta={}).f_k
         for i in range(6):
             for j in range(5):
@@ -34,8 +35,8 @@ class TestAssemble:
 
     def test_bank_keeps_its_own_codewords_and_hints(self):
         rng = np.random.default_rng(14)
-        cb = Codebook(n=3, dim=4, centroids=rng.normal(size=(3, 4)))
-        hs = HintSet(n=3, dim=4, hints=rng.normal(scale=0.01, size=(3, 4)))
+        cb = Codebook(rng.normal(size=(3, 4)))
+        hs = HintSet(rng.normal(scale=0.01, size=(3, 4)))
         bank = assemble_bank(cb, hs, meta={})
         f_q, f_h = cb.centroids.copy(), hs.hints.copy()
         cb.centroids[0] += 1.0  # train_hints updates hints.hints in place like this
@@ -45,57 +46,56 @@ class TestAssemble:
         bank.validate()
 
     def test_zero_hints_compose_to_codewords(self):
-        cb = Codebook(n=2, dim=2, centroids=np.eye(2))
-        hs = HintSet(n=2, dim=2, hints=np.zeros((2, 2)))
+        cb = Codebook(np.eye(2))
+        hs = HintSet(np.zeros((2, 2)))
         np.testing.assert_array_equal(assemble_bank(cb, hs, meta={}).f_k, cb.centroids)
 
     def test_shape_mismatch(self):
-        cb = Codebook(n=2, dim=2, centroids=np.eye(2))
-        hs = HintSet(n=3, dim=2, hints=np.zeros((3, 2)))
+        cb = Codebook(np.eye(2))
+        hs = HintSet(np.zeros((3, 2)))
         with pytest.raises(DimensionError):
             assemble_bank(cb, hs, meta={})
 
-    def test_constructor_rejects_broken_composition(self):
-        rng = np.random.default_rng(1)
-        f_q = rng.normal(size=(3, 4))
-        f_h = rng.normal(size=(3, 4))
-        with pytest.raises(PreconditionError, match="f_k"):
-            KnowledgeBank(n=3, dim=4, f_q=f_q, f_h=f_h, f_k=f_q + f_h + 1e-12)
-
     def test_rejects_non_string_meta(self):
         rng = np.random.default_rng(2)
-        cb = Codebook(n=2, dim=2, centroids=rng.normal(size=(2, 2)))
-        hs = HintSet(n=2, dim=2, hints=np.zeros((2, 2)))
+        cb = Codebook(rng.normal(size=(2, 2)))
+        hs = HintSet(np.zeros((2, 2)))
         with pytest.raises(PreconditionError):
             assemble_bank(cb, hs, meta={"steps": 2000})
 
-    def test_rejects_wrong_version(self):
-        with pytest.raises(PreconditionError, match="version"):
-            KnowledgeBank(
-                n=1, dim=1,
-                f_q=np.ones((1, 1)), f_h=np.zeros((1, 1)), f_k=np.ones((1, 1)),
-                version=2,
-            )
+    def test_keeps_its_own_meta(self, tmp_path):
+        meta = {"source": "a"}
+        bank = KnowledgeBank(f_q=np.ones((1, 2)), f_h=np.zeros((1, 2)), meta=meta)
+        meta["source"] = "changed"
+        assert bank.meta == {"source": "a"}
+        save_bank(bank, tmp_path / "bank.json")
+        assert json.loads((tmp_path / "bank.json").read_text())["meta"] == {"source": "a"}
 
-    def test_rejects_bool_version(self):
-        with pytest.raises(PreconditionError, match="version"):
-            KnowledgeBank(
-                n=1, dim=1,
-                f_q=np.ones((1, 1)), f_h=np.zeros((1, 1)), f_k=np.ones((1, 1)),
-                version=True,
-            )
+    def test_save_rejects_meta_written_after_construction(self, tmp_path):
+        bank = KnowledgeBank(f_q=np.ones((1, 2)), f_h=np.zeros((1, 2)), meta={"steps": "2"})
+        bank.meta["steps"] = 2
+        with pytest.raises(PreconditionError, match="meta"):
+            save_bank(bank, tmp_path / "bank.json")
+        assert not (tmp_path / "bank.json").exists()
 
-    @pytest.mark.parametrize("size", [True, 1.0, 0])
-    def test_rejects_sizes_the_loader_rejects(self, size):
-        # the loader's size rule: a bank that constructs must also load after saving
-        with pytest.raises(PreconditionError, match="positive integers"):
-            KnowledgeBank(
-                n=size, dim=1, f_q=np.ones((1, 1)), f_h=np.zeros((1, 1)), f_k=np.ones((1, 1))
-            )
-        with pytest.raises(PreconditionError, match="positive integers"):
-            KnowledgeBank(
-                n=1, dim=size, f_q=np.ones((1, 1)), f_h=np.zeros((1, 1)), f_k=np.ones((1, 1))
-            )
+    def test_sizes_and_f_k_come_from_the_arrays(self):
+        rng = np.random.default_rng(3)
+        bank = KnowledgeBank(f_q=rng.normal(size=(3, 4)), f_h=rng.normal(size=(3, 4)))
+        assert (bank.n, bank.dim, bank.meta) == (3, 4, {})
+        assert not bank.f_k.flags.writeable
+        hints = rng.normal(size=(3, 4))
+        replaced = dataclasses.replace(bank, f_h=hints)
+        np.testing.assert_array_equal(replaced.f_k, bank.f_q + hints)
+
+    @pytest.mark.parametrize("f_q, f_h", [
+        (np.ones((0, 2)), np.ones((0, 2))),
+        (np.ones((2, 0)), np.ones((2, 0))),
+        (np.ones((2, 3)), np.ones((3, 2))),
+        (np.ones(3), np.ones(3)),
+    ], ids=["no-rows", "no-columns", "two-shapes", "rank-1"])
+    def test_rejects_arrays_that_are_not_one_matrix_shape(self, f_q, f_h):
+        with pytest.raises(DimensionError, match="must have shape"):
+            KnowledgeBank(f_q=f_q, f_h=f_h)
 
 
 class TestRoundTrip:
@@ -130,10 +130,9 @@ class TestRoundTrip:
     def test_later_writes_to_the_callers_arrays_do_not_show_through(self):
         rng = np.random.default_rng(6)
         f_q, f_h = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        f_k = f_q + f_h
-        bank = KnowledgeBank(n=3, dim=4, f_q=f_q, f_h=f_h, f_k=f_k, meta={})
-        before = [arr.copy() for arr in (f_q, f_h, f_k)]
-        for arr in (f_q, f_h, f_k):
+        bank = KnowledgeBank(f_q=f_q, f_h=f_h)
+        before = [arr.copy() for arr in (f_q, f_h, f_q + f_h)]
+        for arr in (f_q, f_h):
             arr += 1.0
         for name, want in zip(("f_q", "f_h", "f_k"), before):
             np.testing.assert_array_equal(getattr(bank, name), want)
@@ -148,7 +147,7 @@ class TestLoadRejections:
 
     def as_payload(self, bank):
         return {
-            "version": bank.version,
+            "version": BANK_FORMAT_VERSION,
             "n": bank.n,
             "dim": bank.dim,
             "f_q": [[float(v) for v in row] for row in bank.f_q],
@@ -167,6 +166,26 @@ class TestLoadRejections:
         payload = self.as_payload(random_bank(seed=8, n=2, dim=3))
         payload["f_k"][0][0] += 1.0
         with pytest.raises(PreconditionError):
+            load_bank(self.write(tmp_path, payload))
+
+    def test_rejects_broken_composition(self, tmp_path):
+        # one bit off in every value: still a composition error, not a parse error
+        payload = self.as_payload(random_bank(seed=1, n=3, dim=4))
+        payload["f_k"] = np.nextafter(np.array(payload["f_k"]), np.inf).tolist()
+        with pytest.raises(PreconditionError, match="f_k must equal f_q \\+ f_h exactly"):
+            load_bank(self.write(tmp_path, payload))
+
+    def test_negative_zero_in_f_k_reads_back_as_the_sum(self, tmp_path):
+        payload = self.as_payload(random_bank(seed=2, n=2, dim=3))
+        payload["f_q"][0][0], payload["f_h"][0][0], payload["f_k"][0][0] = 1.5, -1.5, -0.0
+        f_k = load_bank(self.write(tmp_path, payload)).f_k
+        assert f_k[0, 0] == 0.0 and not np.signbit(f_k[0, 0])
+
+    @pytest.mark.parametrize("key, value", [("n", 3), ("dim", 4), ("n", 0)])
+    def test_declared_sizes_must_match_the_arrays(self, tmp_path, key, value):
+        payload = self.as_payload(random_bank(seed=3, n=2, dim=3))
+        payload[key] = value
+        with pytest.raises(ParseError):
             load_bank(self.write(tmp_path, payload))
 
     def test_missing_key(self, tmp_path):

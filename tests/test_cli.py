@@ -71,6 +71,20 @@ def test_readme_quick_start_runs_with_its_defaults(tmp_path, monkeypatch):
         assert main(commands[name]) == EXIT_OK, commands[name]
 
 
+def test_readme_library_block_runs(tmp_path, monkeypatch):
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    small = generate_synthetic(seed=0, pedestrians=60, backgrounds=20, dim=16)
+    write_embedding_file(small, "train.jsonl")
+    # the detector's query vectors, (m, 1, c), which the block takes as given
+    scope = {"queries": np.random.default_rng(0).normal(size=(3, 1, 32))}
+    exec(block, scope)
+    assert scope["out"].blocks.shape == (3, 1, 32)
+    assert load_feature_batch("features.json").blocks.tobytes() == scope["queries"].tobytes()
+    assert load_bank("bank.json").f_k.tobytes() == scope["bank"].f_k.tobytes()
+
+
 @pytest.mark.parametrize("command", [
     ["gen-synthetic", "train.jsonl"],
     ["build-bank", "train.jsonl", "bank.json"],
@@ -229,7 +243,7 @@ class TestInspect:
         loaded = load_bank(built_bank)
         dataset = parse_embedding_file(embeddings_file)
         assigned = assignment_report(
-            dataset, Codebook(n=loaded.n, dim=loaded.dim, centroids=loaded.f_q)
+            dataset, Codebook(loaded.f_q)
         )
         doc = json.loads(groups_out.read_text())
         assert doc["records"] == 200
@@ -278,7 +292,8 @@ class TestInspect:
     def test_csv_bytes_are_the_repr_of_every_float(self, tmp_path):
         values = np.array([[5e-324, -0.0, 1e16, 1e-7], [-5e-324, 0.1, -1e16, 3.0]])
         bank_path, csv_out = tmp_path / "edge.json", tmp_path / "edge.csv"
-        save_bank(KnowledgeBank(n=2, dim=4, f_q=values, f_h=np.zeros((2, 4)), f_k=values), bank_path)
+        # x + -0.0 is x bit for bit, so f_k keeps the -0.0 of f_q
+        save_bank(KnowledgeBank(f_q=values, f_h=np.full((2, 4), -0.0)), bank_path)
         embeddings = tmp_path / "four.jsonl"
         assert run("gen-synthetic", embeddings, "--pedestrians", 3, "--backgrounds", 2, "--d", 4) == EXIT_OK
         assert run("inspect", bank_path, embeddings, "--fk-csv-out", csv_out) == EXIT_OK

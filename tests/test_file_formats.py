@@ -18,13 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pedbank import jsonio
-from pedbank.attention import FeatureBatch, init_attention, save_attention_params, save_feature_batch
-from pedbank.bank import save_bank
+from pedbank.attention import (
+    AttentionParams, FeatureBatch, init_attention, load_attention_params, load_feature_batch,
+    save_attention_params, save_feature_batch,
+)
+from pedbank.bank import KnowledgeBank, load_bank, save_bank
 from pedbank.cli import EXIT_PARSE, main
 from pedbank.embeddings import generate_synthetic, write_embedding_file
-from pedbank.errors import ParseError
+from pedbank.errors import ParseError, PedbankError
 
-from support import first_float_text_mismatch, hard_doubles, pool_every_array, random_bank
+from support import first_float_text_mismatch, hard_doubles, outcome, pool_every_array, random_bank
 
 # sha256 of each file written by ``write_golden_files``; a writer that
 # changes a single byte of its output fails here.
@@ -411,3 +414,44 @@ def test_a_rejected_document_leaves_no_temporary_file(tmp_path, existing, bad):
     assert os.listdir(tmp_path) == (["d.json"] if existing else [])
     if existing:
         assert path.read_bytes() == b"previous bytes\n"
+
+
+def params_of_sizes(sizes):
+    """One-head ``AttentionParams`` with ``c`` channels over a bank of dimension ``d``."""
+    c, d = sizes
+    return AttentionParams(
+        heads=1, d_model=2, w_q=np.ones((1, c, 2)), w_k=np.ones((1, d, 2)),
+        w_v=np.ones((1, d, 2)), w_o=np.ones((2, c)), gain=np.ones(c), bias=np.zeros(c),
+    )
+
+
+# kind -> (builder from a shape, writer, reader)
+ROUND_TRIPS = {
+    "bank": (lambda shape: KnowledgeBank(np.full(shape, 0.5), np.full(shape, 0.25)),
+             save_bank, load_bank),
+    "params (c, d)": (params_of_sizes, save_attention_params, load_attention_params),
+    "proposal": (lambda shape: FeatureBatch("proposal", np.full(shape, 0.5)),
+                 save_feature_batch, load_feature_batch),
+    "query": (lambda shape: FeatureBatch("query", np.full(shape, 0.5)),
+              save_feature_batch, load_feature_batch),
+}
+SHAPES = [
+    ("bank", (2, 3)), ("bank", (0, 3)), ("bank", (2, 0)),
+    ("params (c, d)", (3, 2)), ("params (c, d)", (0, 2)), ("params (c, d)", (3, 0)),
+    ("proposal", (1, 2, 2, 3)), ("proposal", (0, 2, 2, 3)), ("proposal", (1, 2, 0, 3)),
+    ("query", (2, 1, 3)), ("query", (0, 1, 3)), ("query", (2, 1, 0)),
+]
+
+
+@pytest.mark.parametrize("kind, shape", SHAPES, ids=[f"{kind}-{shape}" for kind, shape in SHAPES])
+def test_what_constructs_also_loads_after_saving(tmp_path, kind, shape):
+    # a size the readers reject (0) must not construct either
+    build, save, load = ROUND_TRIPS[kind]
+    try:
+        value = build(shape)
+    except PedbankError:
+        assert 0 in shape
+        return
+    path = tmp_path / "value.json"
+    save(value, path)
+    assert outcome(load, path) == outcome(lambda _: value, path)

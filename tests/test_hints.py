@@ -70,14 +70,6 @@ class TestInit:
         with pytest.raises(PreconditionError):
             init_classifier(4, 0, seed=0)
 
-    @pytest.mark.parametrize("size", [0, True, 1.0])
-    def test_hint_set_sizes_must_be_positive_integers(self, size):
-        # hints of the matching shape, so only the size rule can reject
-        with pytest.raises(PreconditionError, match="positive integers"):
-            HintSet(n=size, dim=2, hints=np.zeros((int(size), 2)))
-        with pytest.raises(PreconditionError, match="positive integers"):
-            HintSet(n=1, dim=size, hints=np.zeros((1, int(size))))
-
     @pytest.mark.parametrize("size", [0, True, 1.0, 2.5])
     def test_train_config_sizes_must_be_positive_integers(self, size):
         with pytest.raises(PreconditionError, match="positive integers"):
@@ -88,22 +80,22 @@ class TestInit:
 
 class TestForward:
     def test_identity_network(self):
-        cb = Codebook(n=1, dim=1, centroids=np.array([[2.0]]))
-        hs = HintSet(n=1, dim=1, hints=np.array([[0.0]]))
+        cb = Codebook(np.array([[2.0]]))
+        hs = HintSet(np.array([[0.0]]))
         logit, cache = forward_classify(quantize([1.0], cb), cb, hs, scalar_net())
         assert logit == 2.0 and cache.index == 0
 
     def test_zero_w2_gives_bias_logit(self):
-        cb = Codebook(n=1, dim=1, centroids=np.array([[2.0]]))
-        hs = HintSet(n=1, dim=1, hints=np.array([[0.3]]))
+        cb = Codebook(np.array([[2.0]]))
+        hs = HintSet(np.array([[0.3]]))
         logit, _ = forward_classify(quantize([1.0], cb), cb, hs, scalar_net(w2=0.0, b2=-1.5))
         assert logit == -1.5
 
     def test_matches_manual_recomputation(self):
         rng = np.random.default_rng(17)
         n, dim, hidden = 3, 8, 4
-        cb = Codebook(n=n, dim=dim, centroids=rng.normal(size=(n, dim)))
-        hs = HintSet(n=n, dim=dim, hints=rng.normal(scale=0.1, size=(n, dim)))
+        cb = Codebook(rng.normal(size=(n, dim)))
+        hs = HintSet(rng.normal(scale=0.1, size=(n, dim)))
         clf = init_classifier(dim, hidden, seed=17)
         p = rng.normal(size=dim)
         logit, cache = forward_classify(quantize(p, cb), cb, hs, clf)
@@ -117,19 +109,19 @@ class TestForward:
 
     def test_selection_ignores_hints(self):
         # routing uses the codewords only, so hint changes cannot move it
-        cb = Codebook(n=2, dim=2, centroids=np.array([[1.0, 0.0], [0.0, 1.0]]))
+        cb = Codebook(np.array([[1.0, 0.0], [0.0, 1.0]]))
         clf = init_classifier(2, 4, seed=0)
         p = [0.9, 0.2]
         for scale in (0.0, 5.0):
-            hs = HintSet(n=2, dim=2, hints=np.full((2, 2), scale))
+            hs = HintSet(np.full((2, 2), scale))
             _, cache = forward_classify(quantize(p, cb), cb, hs, clf)
             assert cache.index == 0
 
     @pytest.mark.parametrize("index", [-1, 2, True, 1.0])
     def test_rejects_index_outside_the_codebook(self, index):
         # a negative index must not wrap around to the last codeword
-        cb = Codebook(n=2, dim=2, centroids=np.array([[1.0, 0.0], [0.0, 1.0]]))
-        hs = HintSet(n=2, dim=2, hints=np.zeros((2, 2)))
+        cb = Codebook(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        hs = HintSet(np.zeros((2, 2)))
         with pytest.raises(PreconditionError, match="index"):
             forward_classify(index, cb, hs, init_classifier(2, 4, seed=0))
 
@@ -164,16 +156,16 @@ class TestBceLoss:
 
 class TestBackward:
     def test_gradient_at_zero_logit(self):
-        cb = Codebook(n=1, dim=1, centroids=np.array([[1.0]]))
-        hs = HintSet(n=1, dim=1, hints=np.array([[0.0]]))
+        cb = Codebook(np.array([[1.0]]))
+        hs = HintSet(np.array([[0.0]]))
         clf = scalar_net(w2=0.0)
         _, cache = forward_classify(quantize([1.0], cb), cb, hs, clf)
         assert backward(cache, clf, 1).b2 == -0.5
         assert backward(cache, clf, 0).b2 == 0.5
 
     def test_zero_w2_blocks_upstream_grads(self):
-        cb = Codebook(n=1, dim=1, centroids=np.array([[1.0]]))
-        hs = HintSet(n=1, dim=1, hints=np.array([[0.0]]))
+        cb = Codebook(np.array([[1.0]]))
+        hs = HintSet(np.array([[0.0]]))
         clf = scalar_net(w2=0.0)
         _, cache = forward_classify(quantize([1.0], cb), cb, hs, clf)
         grads = backward(cache, clf, 1)
@@ -181,8 +173,8 @@ class TestBackward:
         np.testing.assert_array_equal(grads.hint, np.zeros(1))
 
     def test_dead_units_have_zero_grads(self):
-        cb = Codebook(n=1, dim=2, centroids=np.array([[1.0, 1.0]]))
-        hs = HintSet(n=1, dim=2, hints=np.zeros((1, 2)))
+        cb = Codebook(np.array([[1.0, 1.0]]))
+        hs = HintSet(np.zeros((1, 2)))
         clf = ClassifierParams(
             w1=np.ones((3, 2)), b1=np.full(3, -1e3), w2=np.ones((1, 3)), b2=0.0
         )
@@ -196,8 +188,8 @@ class TestBackward:
     def test_w1_gradient_is_the_outer_product_of_b1_and_x(self):
         rng = np.random.default_rng(23)
         n, dim, hidden = 3, 8, 16
-        cb = Codebook(n=n, dim=dim, centroids=rng.normal(size=(n, dim)))
-        hs = HintSet(n=n, dim=dim, hints=rng.normal(scale=0.1, size=(n, dim)))
+        cb = Codebook(rng.normal(size=(n, dim)))
+        hs = HintSet(rng.normal(scale=0.1, size=(n, dim)))
         clf = init_classifier(dim, hidden, seed=23)
         _, cache = forward_classify(quantize(rng.normal(size=dim), cb), cb, hs, clf)
         for label in (1, 0):
@@ -289,7 +281,7 @@ class TestTrain:
 
     def test_rejects_dimension_mismatch(self, separable):
         peds, bgs, _ = separable
-        other = Codebook(n=2, dim=3, centroids=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        other = Codebook(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
         with pytest.raises(DimensionError):
             train_hints(peds, bgs, other, TrainConfig(lr=0.1, steps=1))
 

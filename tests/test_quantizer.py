@@ -105,17 +105,17 @@ class TestKMeans:
 
 class TestQuantize:
     def test_identity_codebook(self):
-        cb = Codebook(n=2, dim=2, centroids=np.eye(2))
+        cb = Codebook(np.eye(2))
         assert quantize([0.9, 0.1], cb) == 0
         assert quantize([0.1, 0.9], cb) == 1
 
     def test_tie_breaks_to_lowest_index(self):
-        cb = Codebook(n=2, dim=2, centroids=np.eye(2))
+        cb = Codebook(np.eye(2))
         assert quantize([0.5, 0.5], cb) == 0
 
     def test_matches_brute_force_scan(self):
         rng = np.random.default_rng(11)
-        cb = Codebook(n=16, dim=32, centroids=rng.normal(size=(16, 32)))
+        cb = Codebook(rng.normal(size=(16, 32)))
         for _ in range(100):
             p = rng.normal(size=32)
             best, best_score = 0, float(np.dot(cb.centroids[0], p))
@@ -127,7 +127,7 @@ class TestQuantize:
 
     def test_positive_scaling_invariance(self):
         rng = np.random.default_rng(23)
-        cb = Codebook(n=8, dim=16, centroids=rng.normal(size=(8, 16)))
+        cb = Codebook(rng.normal(size=(8, 16)))
         for _ in range(200):
             p = rng.normal(size=16)
             base = quantize(p, cb)
@@ -135,33 +135,21 @@ class TestQuantize:
                 assert quantize(s * p, cb) == base
 
     def test_dimension_mismatch(self):
-        cb = Codebook(n=2, dim=2, centroids=np.eye(2))
+        cb = Codebook(np.eye(2))
         with pytest.raises(DimensionError):
             quantize([1.0, 2.0, 3.0], cb)
 
 
 class TestCodebook:
-    @pytest.mark.parametrize("size", [0, True, 1.0])
-    def test_sizes_must_be_positive_integers(self, size):
-        # centroids of the matching shape, so only the size rule can reject
-        with pytest.raises(PreconditionError, match="positive integers"):
-            Codebook(n=size, dim=2, centroids=np.ones((int(size), 2)))
-        with pytest.raises(PreconditionError, match="positive integers"):
-            Codebook(n=1, dim=size, centroids=np.ones((1, int(size))))
-
     def test_rejects_duplicate_rows(self):
         with pytest.raises(PreconditionError, match="distinct"):
-            Codebook(n=2, dim=2, centroids=np.ones((2, 2)))
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            Codebook(n=3, dim=2, centroids=np.eye(2))
+            Codebook(np.ones((2, 2)))
 
     def test_rejects_non_finite(self):
         cents = np.eye(2)
         cents[0, 0] = np.nan
         with pytest.raises(PreconditionError):
-            Codebook(n=2, dim=2, centroids=cents)
+            Codebook(cents)
 
 
 def report(dataset, codebook):
@@ -176,7 +164,7 @@ def report(dataset, codebook):
 
 class TestAssignmentReport:
     def test_counts_and_groups(self):
-        cb = Codebook(n=3, dim=2, centroids=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]))
+        cb = Codebook(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]))
         ds = make_dataset([[2.0, 0.1], [3.0, 0.0], [0.0, 5.0]])
         counts, groups = report(ds, cb)
         np.testing.assert_array_equal(counts, [2, 1, 0])
@@ -185,7 +173,7 @@ class TestAssignmentReport:
         assert groups[2] == ()
 
     def test_empty_dataset_all_zero(self):
-        cb = Codebook(n=4, dim=3, centroids=np.random.default_rng(0).normal(size=(4, 3)))
+        cb = Codebook(np.random.default_rng(0).normal(size=(4, 3)))
         counts, groups = report(make_dataset([]), cb)
         np.testing.assert_array_equal(counts, np.zeros(4, dtype=np.int64))
         assert all(groups[i] == () for i in range(4))
@@ -204,6 +192,6 @@ class TestAssignmentReport:
             assert int(counts[i]) == len(groups[i])
 
     def test_dimension_mismatch(self):
-        cb = Codebook(n=2, dim=2, centroids=np.eye(2))
+        cb = Codebook(np.eye(2))
         with pytest.raises(DimensionError):
             assignment_report(make_dataset([[1.0, 2.0, 3.0]]), cb)
