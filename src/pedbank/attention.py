@@ -12,6 +12,7 @@ differences.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -133,8 +134,7 @@ class AttentionTrace:
     output: np.ndarray
 
     def __post_init__(self):
-        sums = self.assoc.sum(axis=-1)
-        if not np.all(np.abs(sums - 1.0) <= 1e-6):
+        if not np.abs(self.assoc.sum(axis=-1) - 1.0).max(initial=0.0) <= 1e-6:  # NaN fails too
             raise NumericalError("association rows must sum to 1")
 
 
@@ -186,7 +186,12 @@ def layer_norm(rows, gain, bias, eps: float = 1e-5) -> np.ndarray:
         raise PreconditionError("eps must be nonnegative")
     if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
         raise DimensionError("gain and bias must match the channel count")
-    out = x - x.mean(axis=-1, keepdims=True)
+    return _layer_norm(x, gain, bias, eps)
+
+
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> np.ndarray:
+    """``layer_norm`` unchecked: float64 rows, and gain, bias and eps from ``AttentionParams``."""
+    out = x - x.sum(axis=-1, keepdims=True) / x.shape[-1]  # the bits of x.mean
     var = (out * out).sum(axis=-1, keepdims=True) / x.shape[-1]  # the bits of x.var
     if eps == 0 and np.any(var == 0):
         raise NumericalError("layer norm: a row has zero variance and eps is 0")
@@ -194,17 +199,6 @@ def layer_norm(rows, gain, bias, eps: float = 1e-5) -> np.ndarray:
     out /= np.sqrt(var + eps)
     out += bias
     return out
-
-
-def _check_compatible(batch: FeatureBatch, bank: KnowledgeBank, params: AttentionParams):
-    if params.c != batch.c:
-        raise DimensionError(
-            f"attention expects {params.c} channels, batch has {batch.c}"
-        )
-    if params.d != bank.dim:
-        raise DimensionError(
-            f"attention expects bank dimension {params.d}, bank has {bank.dim}"
-        )
 
 
 # The projection of the last (bank, params) pair: (bank_ref, params_ref,
@@ -253,25 +247,38 @@ def _forward_parts(batch: FeatureBatch, bank: KnowledgeBank, params: AttentionPa
     The value product sums over the ``heads*n`` bank entries in consecutive
     blocks of at most ``INNER_MAX``, added in order, so that its bits do not
     depend on the BLAS thread count."""
-    _check_compatible(batch, bank, params)
+    if params.c != batch.c:
+        raise DimensionError(
+            f"attention expects {params.c} channels, batch has {batch.c}"
+        )
+    if params.d != bank.dim:
+        raise DimensionError(
+            f"attention expects bank dimension {params.d}, bank has {bank.dim}"
+        )
     x = batch.blocks.reshape(-1, batch.c)
     _, _, a, b = _project(bank, params)
     assoc = x @ a  # scores, made the association in place
-    if not np.all(np.isfinite(assoc)):
+    if not np.isfinite(assoc).all():
         raise NumericalError("non-finite attention scores")
     scores = assoc.reshape(len(x), params.heads, -1)  # row softmax over the bank, per head
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
-    parts = -(-len(b) // INNER_MAX)
-    cuts = [len(b) * i // parts for i in range(parts + 1)]
-    pre = assoc[:, :cuts[1]] @ b[:cuts[1]]
-    for i, j in zip(cuts[1:-1], cuts[2:]):
-        pre += assoc[:, i:j] @ b[i:j]
+    first, *rest = _inner_blocks(len(b))
+    pre = assoc[:, first] @ b[first]
+    for block in rest:
+        pre += assoc[:, block] @ b[block]
     pre += x
-    if not np.all(np.isfinite(pre)):
+    if not np.isfinite(pre).all():
         raise NumericalError("non-finite pre-normalization features")
     return x, assoc, pre
+
+
+@functools.cache
+def _inner_blocks(length: int) -> tuple[slice, ...]:
+    """``range(length)`` in ``ceil(length / INNER_MAX)`` consecutive, nearly equal blocks."""
+    parts = -(-length // INNER_MAX)
+    return tuple(slice(length * i // parts, length * (i + 1) // parts) for i in range(parts))
 
 
 def cross_attend(
@@ -286,11 +293,15 @@ def cross_attend(
     """
     _, assoc, pre = _forward_parts(batch, bank, params)
     pre = pre.reshape(batch.m, -1, batch.c)
-    out_rows = layer_norm(pre, params.gain, params.bias, params.eps)
-    out = FeatureBatch(mode=batch.mode, blocks=out_rows.reshape(batch.blocks.shape))
+    if batch.c < 2:  # the one check of layer_norm's that AttentionParams does not make
+        raise PreconditionError("layer norm needs at least 2 channels")
+    out_rows = _layer_norm(pre, params.gain, params.bias, params.eps)
+    try:  # the rows have the batch's shape, so only a non-finite value breaks the array rule
+        out = FeatureBatch(mode=batch.mode, blocks=out_rows.reshape(batch.blocks.shape))
+    except PreconditionError:  # a row sum can overflow on finite features
+        raise NumericalError("non-finite layer-norm output") from None
     assoc = assoc.reshape(batch.m, -1, params.heads, bank.n).transpose(0, 2, 1, 3)
-    trace = AttentionTrace(assoc=assoc, pre_norm=pre, output=out_rows)
-    return out, trace
+    return out, AttentionTrace(assoc=assoc, pre_norm=pre, output=out_rows)
 
 
 def attention_gradients(
@@ -308,14 +319,14 @@ def attention_gradients(
     heads, n = params.heads, bank.n
 
     du = up.reshape(pre.shape)
-    xhat = pre - pre.mean(axis=-1, keepdims=True)
+    xhat = pre - pre.sum(axis=-1, keepdims=True) / pre.shape[-1]
     inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / pre.shape[-1] + params.eps)
     xhat *= inv
     d_bias = du.sum(axis=0)
     d_gain = (du * xhat).sum(axis=0)
     dxhat = du * params.gain
-    ds = dxhat - dxhat.mean(axis=-1, keepdims=True)
-    ds -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    ds = dxhat - dxhat.sum(axis=-1, keepdims=True) / pre.shape[-1]
+    ds -= xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / pre.shape[-1])
     ds *= inv
     # residual: ds is the cotangent of assoc @ b (the input branch needs no gradient)
     d_b = (assoc.T @ ds).reshape(heads, n, -1)  # (heads, n, c)

@@ -503,6 +503,10 @@ def _pooled_map(function, *iterables, workers: int):
     resident size read 66.7 and 67.0 MB that way, 61.3 and 63.6 MB this way,
     against 59.0 MB with no workers.
 
+    ``function`` must not call BLAS: each forked worker starts a BLAS thread
+    per CPU, and on two CPUs attending the two halves of a 100x7x7x256 batch
+    in two workers took 0.17 s against 0.06 s in this process.
+
     An exception a call raises is raised here; a worker that ends without
     its results raises ``BrokenProcessPool``. Abandoning the map cancels the
     calls not yet started and waits for the workers to end.

@@ -7,7 +7,7 @@ import pytest
 
 from pedbank import jsonio
 from pedbank.bank import KnowledgeBank
-from pedbank.embeddings import BACKGROUND, PEDESTRIAN, EmbeddingDataset
+from pedbank.embeddings import PEDESTRIAN, EmbeddingDataset
 from pedbank.errors import PedbankError
 
 
@@ -142,4 +142,4 @@ def einsum_attention(batch, bank, params, upstream):
 
 
 __all__ = ["make_dataset", "random_bank", "einsum_attention", "hard_doubles",
-           "first_float_text_mismatch", "PEDESTRIAN", "BACKGROUND"]
+           "first_float_text_mismatch", "PEDESTRIAN"]

@@ -19,7 +19,7 @@ from pedbank.attention import (
 )
 from pedbank.bank import KnowledgeBank, load_bank, save_bank
 from pedbank.cli import EXIT_OK, main
-from pedbank.embeddings import generate_synthetic, parse_embedding_file, split_by_label
+from pedbank.embeddings import generate_synthetic, split_by_label
 from pedbank.gradcheck import attention_check, classifier_check
 from pedbank.hints import TrainConfig, forward_classify, init_hints, train_hints
 from pedbank.quantizer import Codebook, KMeansConfig, kmeans_with_objectives, quantize

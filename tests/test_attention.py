@@ -7,13 +7,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pedbank import attention, jsonio
 from pedbank.attention import (
     ATTENTION_PARAMS_VERSION,
     AttentionParams,
+    AttentionTrace,
     FeatureBatch,
     attention_gradients,
     cross_attend,
@@ -121,6 +122,16 @@ class TestRows:
             FeatureBatch(mode="proposal", blocks=np.zeros((2, 2)))
 
 
+def reference_layer_norm(rows, gain, bias, eps):
+    """Layer norm as written with ``np.mean`` for the row mean, step for step."""
+    out = rows - rows.mean(axis=-1, keepdims=True)
+    var = (out * out).sum(axis=-1, keepdims=True) / rows.shape[-1]
+    out *= gain
+    out /= np.sqrt(var + eps)
+    out += bias
+    return out
+
+
 class TestLayerNorm:
     def test_two_channel_exact(self):
         out = layer_norm(np.array([[2.0, 4.0]]), np.ones(2), np.zeros(2), eps=0.0)
@@ -177,6 +188,23 @@ class TestLayerNorm:
         want /= np.sqrt(rows.var(axis=-1, keepdims=True) + 1e-5)
         want += bias
         np.testing.assert_array_equal(layer_norm(rows, gain, bias), want)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(st.integers(1, 5), min_size=0, max_size=3),
+        st.integers(2, 300),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1e-5, 1e-9, 0.5]),
+    )
+    @example(lead=[1, 1], c=256, seed=0, eps=1e-5)
+    @example(lead=[1, 1], c=2, seed=1, eps=1e-5)
+    def test_has_the_bits_of_the_mean_formula(self, lead, c, seed, eps):
+        rng = np.random.default_rng(seed)
+        shape = (*lead, c)
+        rows = rng.normal(size=shape) * rng.uniform(0.1, 50.0) + rng.normal()
+        gain, bias = rng.normal(size=c), rng.normal(size=c)
+        np.testing.assert_array_equal(layer_norm(rows, gain, bias, eps),
+                                      reference_layer_norm(rows, gain, bias, eps))
 
     def test_rejects_single_channel(self):
         with pytest.raises(PreconditionError):
@@ -238,6 +266,34 @@ class TestForward:
         )
         np.testing.assert_array_equal(trace_q.assoc, trace_p.assoc)
 
+    @pytest.mark.parametrize("mode", ["query", "proposal"])
+    def test_output_is_layer_norm_of_the_pre_norm_sums(self, mode):
+        batch, bank, params = small_setup(seed=21, m=4, h=3, w=3)
+        if mode == "query":
+            batch = FeatureBatch(mode="query", blocks=batch.rows().reshape(-1, 1, batch.c))
+        out, trace = cross_attend(batch, bank, params)
+        want = layer_norm(trace.pre_norm, params.gain, params.bias, params.eps)
+        np.testing.assert_array_equal(trace.output, want)
+        np.testing.assert_array_equal(out.blocks, want.reshape(batch.blocks.shape))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_a_layer_norm_overflow_is_a_numerical_error(self):
+        # zero query weights keep the scores finite; the row sum of two
+        # channels near the largest double then overflows in layer norm
+        bank = random_bank(seed=22, n=4, dim=512)
+        params = init_attention(c=8, d=512, d_m=4, heads=2)
+        params = replace(params, w_q=np.zeros_like(params.w_q))
+        blocks = np.zeros((1, 1, 8))
+        blocks[..., :2] = 1.7e308
+        with pytest.raises(NumericalError, match="^non-finite layer-norm output$"):
+            cross_attend(FeatureBatch(mode="query", blocks=blocks), bank, params)
+
+    def test_a_single_channel_is_rejected_by_layer_norm(self):
+        batch, bank, params = small_setup(c=1)
+        with pytest.raises(PreconditionError, match="^layer norm needs at least 2 channels$"):
+            cross_attend(batch, bank, params)
+
     def test_channel_mismatch(self):
         batch, bank, _ = small_setup()
         params = init_attention(c=9, d=bank.dim, d_m=4, heads=2)
@@ -249,6 +305,22 @@ class TestForward:
         other = random_bank(seed=1, n=4, dim=6)
         with pytest.raises(DimensionError):
             cross_attend(batch, other, params)
+
+
+class TestAttentionTrace:
+    def trace(self, sums):
+        assoc = np.full((1, len(sums), 1, 4), 0.25)
+        assoc[0, :, 0, 0] += np.asarray(sums) - 1.0
+        return AttentionTrace(assoc=assoc, pre_norm=np.zeros((1, 1, 2)), output=np.zeros((1, 1, 2)))
+
+    def test_accepts_rows_within_1e_6_of_1(self):
+        self.trace([1.0, 1.0 + 5e-7, 1.0 - 5e-7])
+
+    @pytest.mark.parametrize("sums", [[1.0, 1.0 + 2e-6], [1.0 - 2e-6, 1.0], [1.0, math.nan]],
+                             ids=["above", "below", "nan"])
+    def test_rejects_a_row_that_does_not_sum_to_1(self, sums):
+        with pytest.raises(NumericalError, match="association rows must sum to 1"):
+            self.trace(sums)
 
 
 PARAM_NAMES = ("w_q", "w_k", "w_v", "w_o", "gain", "bias")

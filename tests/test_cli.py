@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -371,6 +372,21 @@ class TestComplement:
             "complement", bank_file, features_file, tmp_path / "out.json",
             "--params", params_path,
         ) == EXIT_DIMENSION
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_a_layer_norm_overflow_exits_1_naming_the_step(self, tmp_path, capsys):
+        bank_path, params_path, features = (tmp_path / name for name in ("bank.json", "params.json", "q.json"))
+        save_bank(random_bank(seed=22, n=4, dim=512), bank_path)
+        params = init_attention(c=8, d=512, d_m=4, heads=2)
+        save_attention_params(dataclasses.replace(params, w_q=np.zeros_like(params.w_q)), params_path)
+        blocks = np.zeros((1, 1, 8))
+        blocks[..., :2] = 1.7e308  # finite, but the row sum overflows
+        save_feature_batch(FeatureBatch(mode="query", blocks=blocks), features)
+        assert run(
+            "complement", bank_path, features, tmp_path / "out.json", "--params", params_path,
+        ) == EXIT_OTHER
+        assert capsys.readouterr().err == "error: non-finite layer-norm output\n"
 
     def test_query_mode(self, tmp_path, bank_file):
         rng = np.random.default_rng(19)
