@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,6 +102,12 @@ class AttentionParams:
     gain: np.ndarray
     bias: np.ndarray
     eps: float = 1e-5
+    # ``(f_k, (k, v, a, b))``: the fold of the last bank these params attended
+    # over (``_project``), read and replaced as one tuple. ``f_k`` is the
+    # fold's only bank input and each bank computes its own, so holding it
+    # keeps no bank alive, lets no other bank's array match and, unlike a
+    # weak reference, lets the params pickle.
+    _fold: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_sizes(heads=self.heads, d_model=self.d_model)
@@ -201,33 +206,14 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -
     return out
 
 
-# The projection of the last (bank, params) pair: (bank_ref, params_ref,
-# (k, v, a, b)). Both classes keep read-only arrays, so a projection cannot go
-# stale while its pair lives. The entry is keyed on the objects through weak
-# references: it keeps neither alive, and unlike an ``id`` (reused once its
-# object dies) or a content hash (which reads every weight on every call) a
-# dead reference never matches. It is read and replaced as one tuple, so
-# concurrent callers never mix the keys of one entry with another's arrays.
-_projection = None
-
-
-def _forget(ref) -> None:
-    """Weakref callback: drop the entry once its bank or its params die."""
-    global _projection
-    entry = _projection
-    if entry is not None and (entry[0] is ref or entry[1] is ref):
-        _projection = None
-
-
 def _project(bank: KnowledgeBank, params: AttentionParams):
     """The bank keys ``k`` and values ``v``, each ``(heads, n, d_m)``, folded
     into the score weights ``a = scale * w_q[h] @ k[h].T`` laid out as
     ``(c, heads*n)`` and the value-output weights ``b = v[h] @ w_o[h]`` laid
     out as ``(heads*n, c)``, computed once per (bank, params)."""
-    global _projection
-    entry = _projection
-    if entry is not None and entry[0]() is bank and entry[1]() is params:
-        return entry[2]
+    fold = params._fold
+    if fold is not None and fold[0] is bank.f_k:
+        return fold[1]
     k = bank.f_k @ params.w_k
     v = bank.f_k @ params.w_v
     a = params.w_q @ k.transpose(0, 2, 1)  # (heads, c, n)
@@ -237,7 +223,7 @@ def _project(bank: KnowledgeBank, params: AttentionParams):
     projection = (k, v, a, b)
     for arr in projection:
         arr.flags.writeable = False
-    _projection = (weakref.ref(bank, _forget), weakref.ref(params, _forget), projection)
+    object.__setattr__(params, "_fold", (bank.f_k, projection))
     return projection
 
 

@@ -160,7 +160,8 @@ def cmd_complement(args) -> int:
         )
     if args.zero_output_proj:
         params = dataclasses.replace(params, w_o=np.zeros_like(params.w_o))
-    out, _ = attention.cross_attend(batch, loaded, params)
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite checks name the step
+        out, _ = attention.cross_attend(batch, loaded, params)
     attention.save_feature_batch(out, args.out)
     print(
         f"wrote complemented batch to {args.out} "

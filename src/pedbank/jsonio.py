@@ -265,16 +265,13 @@ def _write_array(fh, arr: np.ndarray) -> None:
     """Stream ``arr`` as nested JSON lists, formatting its ``_chunks`` in
     order, in worker processes when it is large."""
     chunks = _chunks(arr)
+    texts = _pooled_map(_format_chunk, chunks, workers=_workers(arr.size, len(chunks)))
     fh.write("[")
-    _write_joined(fh, _pooled_map(_format_chunk, chunks, workers=_workers(arr.size, len(chunks))))
-    fh.write("]")
-
-
-def _write_joined(fh, texts) -> None:
     for i, text in enumerate(texts):
         if i:
             fh.write(", ")
         fh.write(text)
+    fh.write("]")
 
 
 def _format_chunk(chunk: np.ndarray) -> str:

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import pickle
 import sys
 import weakref
 from dataclasses import replace
@@ -289,6 +290,22 @@ class TestForward:
         with pytest.raises(NumericalError, match="^non-finite layer-norm output$"):
             cross_attend(FeatureBatch(mode="query", blocks=blocks), bank, params)
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("w_qk, w_o, step", [
+        (1.0, 0.0, "attention scores"),  # x @ a = 2e308
+        (0.0, 1e308, "pre-normalization features"),  # uniform association; x + assoc @ b = 2e308
+    ])
+    def test_an_overflow_before_layer_norm_names_its_step(self, w_qk, w_o, step):
+        # one head of width 1 over two unit codewords, so k and v are all ones
+        bank = KnowledgeBank(f_q=np.eye(2), f_h=np.zeros((2, 2)))
+        params = AttentionParams(
+            heads=1, d_model=1, w_q=np.full((1, 2, 1), w_qk), w_k=np.full((1, 2, 1), w_qk),
+            w_v=np.ones((1, 2, 1)), w_o=np.array([[w_o, 0.0]]), gain=np.ones(2), bias=np.zeros(2),
+        )
+        blocks = np.full((1, 1, 2), 1e308)
+        with pytest.raises(NumericalError, match=f"^non-finite {step}$"):
+            cross_attend(FeatureBatch(mode="query", blocks=blocks), bank, params)
+
     def test_a_single_channel_is_rejected_by_layer_norm(self):
         batch, bank, params = small_setup(c=1)
         with pytest.raises(PreconditionError, match="^layer norm needs at least 2 channels$"):
@@ -327,8 +344,9 @@ PARAM_NAMES = ("w_q", "w_k", "w_v", "w_o", "gain", "bias")
 
 
 def cold(fn, *args):
-    """``fn(*args)`` with no bank projection remembered from an earlier call."""
-    attention._projection = None
+    """``fn(*args)`` with no bank fold remembered by its params from an earlier call."""
+    params = next(arg for arg in args if isinstance(arg, AttentionParams))
+    object.__setattr__(params, "_fold", None)
     return fn(*args)
 
 
@@ -348,6 +366,15 @@ class TestProjectionMemo:
         assert attention._project(bank, replace(params)) is not first
         for arr in first:
             assert not arr.flags.writeable
+
+    def test_two_params_over_one_bank_keep_their_own_folds(self):
+        _, bank, params = small_setup()
+        other = replace(params)
+        folds = [cold(attention._project, bank, p) for p in (params, other)]
+        assert folds[0] is not folds[1]
+        for _ in range(3):  # alternating callers no longer evict each other
+            assert attention._project(bank, params) is folds[0]
+            assert attention._project(bank, other) is folds[1]
 
     def test_the_bank_is_folded_into_per_head_score_and_output_weights(self):
         _, bank, params = small_setup(n=5, heads=3)
@@ -403,10 +430,30 @@ class TestProjectionMemo:
         batch, bank, params = small_setup()
         swapped = {"w_k": params.w_v, "w_v": params.w_k}
         want = [cold(cross_attend, batch, bank, replace(params, **kw))[0] for kw in ({}, swapped)]
-        attention._projection = None
         for i in range(8):  # CPython tends to put each new object where the last one died
             out, _ = cross_attend(batch, bank, replace(params, **(swapped if i % 2 else {})))
             np.testing.assert_array_equal(out.blocks, want[i % 2].blocks)
+
+    def test_banks_that_reuse_a_dead_objects_address_are_folded_afresh(self):
+        batch, _, params = small_setup()
+        seeds = (103, 77)
+        want = [cold(cross_attend, batch, random_bank(seed=s, n=4, dim=8), params)[0] for s in seeds]
+        for i in range(8):  # each bank dies after its call, so the next may take its place
+            out, _ = cross_attend(batch, random_bank(seed=seeds[i % 2], n=4, dim=8), params)
+            np.testing.assert_array_equal(out.blocks, want[i % 2].blocks)
+
+    def test_a_used_params_pickles_to_bit_identical_results(self):
+        batch, bank, params = small_setup()
+        upstream = np.random.default_rng(32).normal(size=batch.blocks.shape)
+        want_out, want_trace = cross_attend(batch, bank, params)
+        want_grads = attention_gradients(batch, bank, params, upstream)
+        copy = pickle.loads(pickle.dumps(params))
+        assert copy._fold is not None and copy._fold[0] is not bank.f_k
+        got_out, got_trace = cross_attend(batch, bank, copy)
+        assert copy._fold[0] is bank.f_k  # the copy folded this bank afresh
+        np.testing.assert_array_equal(got_out.blocks, want_out.blocks)
+        np.testing.assert_array_equal(got_trace.assoc, want_trace.assoc)
+        assert_same_grads(attention_gradients(batch, bank, copy, upstream), want_grads)
 
     def test_query_equals_unit_proposal_bitwise_with_a_warm_projection(self):
         rng = np.random.default_rng(16)
@@ -428,7 +475,6 @@ class TestProjectionMemo:
         del bank, params
         gc.collect()
         assert all(ref() is None for ref in refs)
-        assert attention._projection is None
 
     def test_bank_and_params_arrays_are_read_only(self):
         _, bank, params = small_setup()
@@ -650,6 +696,7 @@ FLAT_CASES = {
     "true in data": '{%s, "data": [1.0, 2.0, true, 4.0]}' % HEADER,
     "NaN in data": '{%s, "data": [1.0, 2.0, NaN, 4.0]}' % HEADER,
     "1e400 in data": '{%s, "data": [1.0, 2.0, 3.0, 1e400]}' % HEADER,
+    "an integer beyond the float range in data": '{%s, "data": [1.0, 2.0, 3.0, 1%s]}' % (HEADER, "0" * 400),
     "an integer past the digit limit in data": '{%s, "data": [1.0, 2.0, 3.0, %s]}' % (HEADER, "1" * 5000),
     "an integer past the digit limit before data": '{"n": %s, %s, %s}' % ("1" * 5000, HEADER, DATA),
     "an empty item in data": '{%s, "data": [1.0, 2.0, , 4.0]}' % HEADER,

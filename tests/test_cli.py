@@ -373,8 +373,6 @@ class TestComplement:
             "--params", params_path,
         ) == EXIT_DIMENSION
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_a_layer_norm_overflow_exits_1_naming_the_step(self, tmp_path, capsys):
         bank_path, params_path, features = (tmp_path / name for name in ("bank.json", "params.json", "q.json"))
         save_bank(random_bank(seed=22, n=4, dim=512), bank_path)

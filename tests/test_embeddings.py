@@ -70,6 +70,15 @@ class TestParse:
         with pytest.raises(ParseError, match="duplicate id"):
             parse_embedding_file(path)
 
+    def test_empty_id_rejected(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        write_lines(path, [
+            '{"id": "a", "label": "pedestrian", "vector": [1.0]}',
+            '{"id": "", "label": "pedestrian", "vector": [2.0]}',
+        ])
+        with pytest.raises(ParseError, match="line 2: id must be a non-empty string"):
+            parse_embedding_file(path)
+
     def test_unknown_label_rejected(self, tmp_path):
         path = tmp_path / "e.jsonl"
         write_lines(path, ['{"id": "a", "label": "person", "vector": [1.0]}'])

@@ -82,6 +82,7 @@ def valid_files(tmp_path):
 MALFORMED = [
     ("bank", ("version",), True),
     ("bank", ("f_h", 0, 0), float("nan")),
+    ("bank", ("meta",), {"source": 1}),
     ("params", ("version",), True),
     ("params", ("heads",), 2.7),
     ("params", ("heads",), "2"),

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pedbank import quantizer
 from pedbank.errors import DimensionError, PreconditionError
 from pedbank.quantizer import (
     Codebook,
@@ -53,6 +54,16 @@ class TestKMeans:
         cb, objs = kmeans_with_objectives(make_dataset(pts), KMeansConfig(n=4, seed=1))
         assert sorted(cb.centroids.tolist()) == sorted(pts)
         assert objs[-1] == 0.0
+
+    def test_empty_clusters_are_reseeded_to_distinct_farthest_points(self, monkeypatch):
+        # two seeded centroids far from every point own none of them
+        pts = [[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]]
+        seeded = np.array([[0.0, 0.5], [100.0, 100.0], [100.0, 100.0]])
+        monkeypatch.setattr(quantizer, "_plusplus_init", lambda points, n, rng: seeded.copy())
+        cb, objs = kmeans_with_objectives(make_dataset(pts), KMeansConfig(n=3))
+        # the first moves to the mean; the two empty ones take [0, 0], then [0, 1]
+        assert objs == [201.0, 50.5, 0.5, 0.5]
+        assert cb.centroids.tolist() == [[10.0, 0.5], [0.0, 0.0], [0.0, 1.0]]
 
     def test_objectives_non_increasing_and_final_exact(self):
         pts = np.random.default_rng(3).normal(size=(500, 8))
