@@ -121,6 +121,10 @@ class AttentionParams:
             arr = check_array(name, getattr(self, name), shapes[name])
             object.__setattr__(self, name, owned_readonly(arr))
 
+    def __reduce__(self):  # a copy is checked and owned again, and folds afresh
+        arrays = (getattr(self, name) for name in _PARAM_ARRAYS)
+        return type(self), (self.heads, self.d_model, *arrays, self.eps)
+
     @property
     def c(self) -> int:
         return self.w_q.shape[1]

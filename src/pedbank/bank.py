@@ -50,6 +50,9 @@ class KnowledgeBank:
         for name, value in (("f_q", f_q), ("f_h", f_h), ("f_k", f_k), ("meta", dict(self.meta))):
             object.__setattr__(self, name, value)
 
+    def __reduce__(self):  # a copy is checked and owned by the constructor again
+        return type(self), (self.f_q, self.f_h, self.meta)
+
     def validate(self) -> None:
         """Check that ``meta`` maps strings to strings; also called by
         ``save_bank``, since a caller can still write into ``bank.meta``."""

@@ -39,8 +39,6 @@ EXIT_CODES = (
 
 def _entropy(counts: np.ndarray) -> float:
     total = counts.sum()
-    if total == 0:
-        return 0.0
     p = counts[counts > 0] / total
     return float(-(p * np.log(p)).sum())
 

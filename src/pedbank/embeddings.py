@@ -56,6 +56,9 @@ class EmbeddingDataset:
         if not set(labels) <= set(LABELS):
             raise PreconditionError(f"labels must be in {LABELS}")
 
+    def __reduce__(self):  # a copy is checked and owned by the constructor again
+        return type(self), (self.ids, self.labels, self.vectors)
+
     @property
     def dim(self) -> int | None:
         return self.vectors.shape[1] or None

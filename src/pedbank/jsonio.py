@@ -27,7 +27,8 @@ its workers: they format the chunks of a large array, and they parse a
 JSON-lines file (``map_lines``) or the flat array of a document
 (``read_document``) in the parts that ``_map_parts`` cuts, which also holds
 the readers' fall-back. The bytes written, the arrays read and every error
-do not depend on which way ran.
+do not depend on which way ran. Each map's calls go only to its own
+workers, so readers and writers may run in several threads at once.
 Every writer of the package goes through ``replacing``, so a failed write
 leaves an existing file as it was.
 """
@@ -85,20 +86,25 @@ _POW5 = 5 ** np.arange(21, dtype=np.int64)
 _POW2 = 2.0 ** np.arange(49)
 
 
-def read_lines(path):
-    """Yield ``(lineno, line)`` for every line of the UTF-8 text file ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            yield from enumerate(fh, start=1)
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+def read_lines(path, start: int = 0, stop: int | None = None):
+    """Yield ``(lineno, line)``, numbered from 1, for every line of the UTF-8
+    text file ``path``, streamed, or with ``stop`` for every line in its bytes
+    ``start`` to ``stop``, read as text mode reads them."""
+    with open(path, "rb") as fh:
+        if stop is not None:
+            fh.seek(start)
+            fh = io.BytesIO(fh.read(stop - start))
+        with io.TextIOWrapper(fh, encoding="utf-8") as text:
+            try:
+                yield from enumerate(text, start=1)
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def map_lines(path, function, *args) -> list | None:
-    """``function(lines, *args)`` for each range of ``path`` cut at line
-    breaks, in order, through ``_map_parts``, in forked processes that read
-    their ranges themselves. ``lines`` holds ``(lineno, line)`` numbered
-    from 1 within the range, as ``read_lines`` would yield them.
+    """``function(read_lines(path, start, stop), *args)`` for each range of
+    ``path`` cut at line breaks, in order, through ``_map_parts``, in forked
+    processes that read their ranges themselves.
 
     ``None`` when ``path`` is not a regular file (a pipe is read once, in
     order) and wherever ``_map_parts`` gives ``None``: the caller then reads
@@ -107,7 +113,7 @@ def map_lines(path, function, *args) -> list | None:
     if not os.path.isfile(path):
         return None
     with open(path, "rb") as fh:  # a cut at byte ``at`` ends the line that holds it
-        return _map_parts(functools.partial(_map_range, function, path, args), 0,
+        return _map_parts(lambda a, b: function(read_lines(path, a, b), *args), 0,
                           os.path.getsize(path), lambda at: fh.seek(at) + len(fh.readline()))
 
 
@@ -489,10 +495,13 @@ def _workers(values: int, parts: int) -> int:
 def _pooled_map(function, *iterables, workers: int):
     """``map(function, *iterables)``, in order; with more than one worker,
     the calls run in a ``ProcessPoolExecutor`` of as many forked processes.
-    ``function`` and the arguments reach the workers through the fork, which
-    copies no memory until it is written: the pool is sent only the index
-    of each call. Spawned workers would import NumPy and this package again,
-    and receive the readers' text pickled.
+    ``function`` and the arguments reach the workers through the fork, as
+    the arguments of the pool's initializer, which copies no memory until it
+    is written: the pool is sent only the index of each call. Spawned
+    workers would import NumPy and this package again, and receive the
+    readers' text pickled. Each map's calls live only in its own workers, so
+    maps may run in several threads at once, with POSIX's caveats on a fork
+    from several threads (a lock another thread held stays held).
 
     Each worker pickles its result, and the caller's thread unpickles it:
     objects the executor's thread builds land in a heap of that thread,
@@ -508,7 +517,6 @@ def _pooled_map(function, *iterables, workers: int):
     its results raises ``BrokenProcessPool``. Abandoning the map cancels the
     calls not yet started and waits for the workers to end.
     """
-    global _calls
     calls = list(zip(*iterables))
     if workers < 2:
         yield from itertools.starmap(function, calls)
@@ -517,21 +525,19 @@ def _pooled_map(function, *iterables, workers: int):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # A fork-context pool forks all its workers at the first submit, which
-    # ``pool.map`` makes before it returns, so each worker holds these calls.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    _calls = function, calls
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_keep_calls, initargs=(function, calls))
     try:
         for result in pool.map(_run_call, range(len(calls))):
             yield pickle.loads(result)
     finally:
-        _calls = None
         pool.shutdown(cancel_futures=True)
 
 
-# The function and arguments of the map being started, for its workers; one
-# map starts at a time, as the package runs no threads of its own.
-_calls = None
+def _keep_calls(function, calls) -> None:
+    """The initializer of each worker of a ``_pooled_map``: its calls."""
+    global _calls
+    _calls = function, calls
 
 
 def _run_call(index: int):
@@ -562,15 +568,6 @@ def _map_parts(work, start: int, stop: int, cut) -> list | None:
         return list(_pooled_map(work, bounds[:-1], bounds[1:], workers=min(workers, len(bounds) - 1)))
     except (PedbankError, ValueError):
         return None
-
-
-def _map_range(function, path, args, start: int, stop: int):
-    """One part of ``map_lines``: ``function`` over the lines in bytes
-    ``start`` to ``stop`` of ``path``, read as text mode reads them."""
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        data = fh.read(stop - start)
-    return function(enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), start=1), *args)
 
 
 def _parse_flat(text: str, key: str) -> dict | None:

@@ -1,5 +1,8 @@
 """The one array rule (``errors.check_array``) at every place a caller's array comes in."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -172,6 +175,30 @@ def test_owned_readonly_copies_only_what_a_caller_could_still_write():
     kept_view = owned_readonly(view)
     assert kept_view is not view and kept_view.base is None
     np.testing.assert_array_equal(kept_view, view)
+
+
+# class -> (an instance, the names of the owned read-only arrays it keeps)
+OWNERS = {
+    "KnowledgeBank": (ONE_ROW_BANK, ("f_q", "f_h", "f_k")),
+    "AttentionParams": (PARAMS, tuple(PARAM_ARRAYS)),
+    "EmbeddingDataset": (generate_synthetic(seed=0, pedestrians=1, backgrounds=1, dim=2), ("vectors",)),
+}
+
+
+@pytest.mark.parametrize("round_trip", [lambda value: pickle.loads(pickle.dumps(value)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("owner", OWNERS)
+def test_a_pickled_or_copied_owner_keeps_the_ownership_rule(owner, round_trip):
+    value, names = OWNERS[owner]
+    again = round_trip(value)
+    for name in names:
+        arr = getattr(again, name)
+        np.testing.assert_array_equal(arr, getattr(value, name))
+        assert not arr.flags.writeable and arr.base is None
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 5.0
+    if owner == "KnowledgeBank":
+        np.testing.assert_array_equal(again.f_k, again.f_q + again.f_h)
 
 
 # scalar setting -> (a valid value, a builder that passes the value in and

@@ -122,6 +122,10 @@ class TestRows:
         with pytest.raises(DimensionError):
             FeatureBatch(mode="proposal", blocks=np.zeros((2, 2)))
 
+    def test_rejects_an_unknown_mode(self):
+        with pytest.raises(PreconditionError, match="mode must be one of"):
+            FeatureBatch(mode="patch", blocks=np.zeros((1, 1, 1, 2)))
+
 
 def reference_layer_norm(rows, gain, bias, eps):
     """Layer norm as written with ``np.mean`` for the row mean, step for step."""
@@ -448,7 +452,7 @@ class TestProjectionMemo:
         want_out, want_trace = cross_attend(batch, bank, params)
         want_grads = attention_gradients(batch, bank, params, upstream)
         copy = pickle.loads(pickle.dumps(params))
-        assert copy._fold is not None and copy._fold[0] is not bank.f_k
+        assert copy._fold is None
         got_out, got_trace = cross_attend(batch, bank, copy)
         assert copy._fold[0] is bank.f_k  # the copy folded this bank afresh
         np.testing.assert_array_equal(got_out.blocks, want_out.blocks)
@@ -706,6 +710,8 @@ FLAT_CASES = {
     "a trailing comma in the last part": '{%s, "data": [1.0, 2.0, 3, 4,]}' % HEADER,
     "text after the object": "{%s, %s} {}" % (HEADER, DATA),
     "a trailing comma in the object": "{%s, %s,}" % (HEADER, DATA),
+    "a top-level array": "[{%s, %s}]" % (HEADER, DATA),
+    "a number for data": '{%s, "data": 5}' % HEADER,
 }
 
 
@@ -758,6 +764,11 @@ class TestParamsFiles:
                 w_o=np.zeros((7, 6)),  # should be (2*4, 6)
                 gain=np.ones(6), bias=np.zeros(6),
             )
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-5])
+    def test_rejects_an_eps_that_is_not_positive(self, eps):
+        with pytest.raises(PreconditionError, match="eps must be positive"):
+            replace(init_attention(c=4, d=6, d_m=2, heads=2, seed=1), eps=eps)
 
     @pytest.mark.parametrize("size", [2.0, True])
     def test_rejects_sizes_the_loader_rejects(self, size):

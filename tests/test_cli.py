@@ -93,10 +93,11 @@ def test_readme_library_block_runs(tmp_path, monkeypatch):
     ["gradcheck"],
 ], ids=lambda command: command[0])
 def test_negative_seed_is_a_usage_error(command, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([*command, "--seed", "-1"])
-    assert exc.value.code == 2
-    assert "--seed: must be a nonnegative integer" in capsys.readouterr().err
+    for seed in ("-1", "abc"):  # "abc" is no integer at all
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--seed", seed])
+        assert exc.value.code == 2
+        assert f"--seed: must be a nonnegative integer, got '{seed}'" in capsys.readouterr().err
 
 
 @pytest.fixture()
@@ -471,6 +472,11 @@ class TestGradcheck:
     def test_injected_sign_error_fails(self, capsys):
         assert run("gradcheck", "--seed", 2, "--inject-sign-error") == EXIT_THRESHOLD
         assert "gradcheck: FAIL" in capsys.readouterr().out
+
+    def test_relative_error_of_other_shapes_raises_and_of_no_values_is_0(self):
+        with pytest.raises(PreconditionError, match=r"gradient shapes differ: \(2,\) vs \(3,\)"):
+            gradcheck.relative_error(np.zeros(2), np.zeros(3))
+        assert gradcheck.relative_error(np.zeros((0, 3)), np.zeros((0, 3))) == 0.0
 
 
 class TestIndistinguishableControl:

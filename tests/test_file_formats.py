@@ -329,6 +329,58 @@ def test_a_failing_call_ends_a_map_of_three_workers_promptly():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _in_two_threads(task, rounds=20):
+    """``task(0)`` and ``task(1)``, started together in two daemon threads,
+    ``rounds`` times; every exception they raised."""
+    raised = []
+    for _ in range(rounds):
+        barrier = threading.Barrier(2)
+
+        def run(k):
+            barrier.wait()
+            try:
+                task(k)
+            except Exception as exc:
+                raised.append(exc)
+
+        threads = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads), "a pooled map did not end"
+    return raised
+
+
+def test_two_threads_write_their_own_arrays_at_once(tmp_path, pooled):
+    arrays = [np.random.default_rng(k).normal(size=(60 + k, 8)) for k in range(2)]
+    paths = [tmp_path / f"{k}.json" for k in range(2)]
+    wrong = []
+
+    def write(k):
+        jsonio.write_documents(paths[k], [{"data": arrays[k]}])
+        if json.loads(paths[k].read_text())["data"] != arrays[k].tolist():
+            wrong.append(k)
+
+    assert _in_two_threads(write) == [] and wrong == []
+
+
+def test_two_threads_load_their_own_batches_at_once(tmp_path, pooled):
+    rng = np.random.default_rng(3)
+    batches = [FeatureBatch("proposal", rng.normal(size=(4 + k, 2, 2, 5))) for k in range(2)]
+    paths = [tmp_path / f"{k}.json" for k in range(2)]
+    for batch, path in zip(batches, paths):
+        save_feature_batch(batch, path)
+    wrong = []
+
+    def load(k):
+        loaded = load_feature_batch(paths[k])
+        if loaded.mode != "proposal" or not np.array_equal(loaded.blocks, batches[k].blocks):
+            wrong.append(k)
+
+    assert _in_two_threads(load) == [] and wrong == []
+
+
 def test_a_written_file_gets_the_permissions_open_gives(tmp_path):
     plain, written = tmp_path / "plain.json", tmp_path / "written.json"
     with open(plain, "w", encoding="utf-8"):

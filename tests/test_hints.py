@@ -125,6 +125,12 @@ class TestForward:
         with pytest.raises(PreconditionError, match="index"):
             forward_classify(index, cb, hs, init_classifier(2, 4, seed=0))
 
+    @pytest.mark.parametrize("hints, dim", [((2, 3), 2), ((2, 2), 3)], ids=["hints", "classifier"])
+    def test_rejects_hints_or_classifier_of_another_size(self, hints, dim):
+        cb = Codebook(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(DimensionError, match="hints disagree" if dim == 2 else "classifier input"):
+            forward_classify(0, cb, HintSet(np.zeros(hints)), init_classifier(dim, 4, seed=0))
+
 
 class TestBceLoss:
     def test_zero_logit_is_ln_two(self):
@@ -153,6 +159,11 @@ class TestBceLoss:
         with pytest.raises(PreconditionError):
             bce_loss(0.0, 2)
 
+    @pytest.mark.parametrize("logit", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_logit(self, logit):
+        with pytest.raises(NumericalError, match="non-finite logit"):
+            bce_loss(logit, 1)
+
 
 class TestBackward:
     def test_gradient_at_zero_logit(self):
@@ -162,6 +173,12 @@ class TestBackward:
         _, cache = forward_classify(quantize([1.0], cb), cb, hs, clf)
         assert backward(cache, clf, 1).b2 == -0.5
         assert backward(cache, clf, 0).b2 == 0.5
+
+    def test_rejects_bad_label(self):
+        cb, hs, clf = Codebook(np.array([[1.0]])), HintSet(np.array([[0.0]])), scalar_net()
+        _, cache = forward_classify(0, cb, hs, clf)
+        with pytest.raises(PreconditionError, match="label must be 0 or 1, got 2"):
+            backward(cache, clf, 2)
 
     def test_zero_w2_blocks_upstream_grads(self):
         cb = Codebook(np.array([[1.0]]))
@@ -293,6 +310,14 @@ class TestTrain:
             NumericalError, match=r"^non-finite logit at step 1 \(label 1, codeword 2\)$"
         ):
             train_hints(peds, bgs, codebook, TrainConfig(lr=1e308, steps=50, seed=0))
+
+    def test_a_non_finite_loss_aborts_with_step(self, separable, monkeypatch):
+        peds, bgs, codebook = separable
+        monkeypatch.setattr("pedbank.hints.bce_loss", lambda logit, label: math.inf if label else 0.5)
+        with pytest.raises(
+            NumericalError, match=r"^non-finite loss at step 0 \(pedestrian loss inf, background loss 0.5\)$"
+        ):
+            train_hints(peds, bgs, codebook, TrainConfig(lr=0.1, steps=3, seed=0))
 
     def test_config_validation(self):
         with pytest.raises(PreconditionError):

@@ -65,6 +65,23 @@ class TestKMeans:
         assert objs == [201.0, 50.5, 0.5, 0.5]
         assert cb.centroids.tolist() == [[10.0, 0.5], [0.0, 0.0], [0.0, 1.0]]
 
+    def test_an_iteration_whose_objective_rises_is_discarded(self, monkeypatch):
+        pts = [[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]]
+        seeded = np.array([[0.0, 0.0], [10.0, 0.0]])
+        monkeypatch.setattr(quantizer, "_plusplus_init", lambda points, n, rng: seeded.copy())
+        sq_distances, calls = quantizer._sq_distances, []
+
+        def rising(points, centroids):  # each iteration's distances grow by 1
+            calls.append(centroids.tolist())
+            return sq_distances(points, centroids) + (len(calls) > 1)
+
+        monkeypatch.setattr(quantizer, "_sq_distances", rising)
+        cb, objs = kmeans_with_objectives(make_dataset(pts), KMeansConfig(n=2))
+        # the iteration moved the centroids to [0, 0.5] and [10, 0.5], at 1 + 4
+        assert calls == [seeded.tolist(), [[0.0, 0.5], [10.0, 0.5]]]
+        assert objs == [2.0]
+        assert cb.centroids.tolist() == seeded.tolist()
+
     def test_objectives_non_increasing_and_final_exact(self):
         pts = np.random.default_rng(3).normal(size=(500, 8))
         ds = make_dataset(pts)
