@@ -237,15 +237,12 @@ def _forward_parts(batch: FeatureBatch, bank: KnowledgeBank, params: AttentionPa
     The value product sums over the ``heads*n`` bank entries in consecutive
     blocks of at most ``INNER_MAX``, added in order, so that its bits do not
     depend on the BLAS thread count."""
-    if params.c != batch.c:
-        raise DimensionError(
-            f"attention expects {params.c} channels, batch has {batch.c}"
-        )
+    c = batch.blocks.shape[-1]
+    if params.c != c:
+        raise DimensionError(f"attention expects {params.c} channels, batch has {c}")
     if params.d != bank.dim:
-        raise DimensionError(
-            f"attention expects bank dimension {params.d}, bank has {bank.dim}"
-        )
-    x = batch.blocks.reshape(-1, batch.c)
+        raise DimensionError(f"attention expects bank dimension {params.d}, bank has {bank.dim}")
+    x = batch.blocks.reshape(-1, c)
     _, _, a, b = _project(bank, params)
     assoc = x @ a  # scores, made the association in place
     if not np.isfinite(assoc).all():
@@ -277,21 +274,25 @@ def cross_attend(
     """Complement every block with bank knowledge.
 
     Output blocks keep the input shape; proposal blocks of size 1x1 go
-    through exactly the same arithmetic as query blocks. Returns the
-    complemented batch plus a trace holding the per-head association
-    matrices, the pre-norm sums, and the output rows.
+    through exactly the same arithmetic as query blocks. Its checks are the
+    batch's array rule and a ``NumericalError`` naming the step for any
+    non-finite score, pre-norm sum or output. Returns the complemented batch
+    and a trace of the per-head association matrices, the pre-norm sums and
+    the output rows, built without their constructors' checks, which cannot fail here.
     """
     _, assoc, pre = _forward_parts(batch, bank, params)
-    pre = pre.reshape(batch.m, -1, batch.c)
-    if batch.c < 2:  # the one check of layer_norm's that AttentionParams does not make
+    m, c = batch.blocks.shape[0], batch.blocks.shape[-1]
+    if c < 2:  # the one check of layer_norm's that AttentionParams does not make
         raise PreconditionError("layer norm needs at least 2 channels")
+    pre = pre.reshape(m, -1, c)
     out_rows = _layer_norm(pre, params.gain, params.bias, params.eps)
-    try:  # the rows have the batch's shape, so only a non-finite value breaks the array rule
-        out = FeatureBatch(mode=batch.mode, blocks=out_rows.reshape(batch.blocks.shape))
-    except PreconditionError:  # a row sum can overflow on finite features
-        raise NumericalError("non-finite layer-norm output") from None
-    assoc = assoc.reshape(batch.m, -1, params.heads, bank.n).transpose(0, 2, 1, 3)
-    return out, AttentionTrace(assoc=assoc, pre_norm=pre, output=out_rows)
+    if not np.isfinite(out_rows).all():  # a row sum can overflow on finite features
+        raise NumericalError("non-finite layer-norm output")
+    out, trace = object.__new__(FeatureBatch), object.__new__(AttentionTrace)
+    vars(out).update(mode=batch.mode, blocks=out_rows.reshape(batch.blocks.shape))
+    assoc = assoc.reshape(m, -1, params.heads, bank.n).transpose(0, 2, 1, 3)
+    vars(trace).update(assoc=assoc, pre_norm=pre, output=out_rows)  # softmax rows sum to 1
+    return out, trace
 
 
 def attention_gradients(

@@ -59,9 +59,8 @@ def check_array(name: str, value, shape: tuple = ()) -> np.ndarray:
         isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat
     ):
         raise PreconditionError(f"{name} must hold int or float numbers, got a bool")
-    empty = 0 in shape
     if arr.ndim != len(shape) or any(
-        n != w if w is not None else n < 1 and not empty for w, n in zip(shape, arr.shape)
+        n != w if w is not None else n < 1 and 0 not in shape for w, n in zip(shape, arr.shape)
     ):
         expected = ", ".join("positive" if w is None else str(w) for w in shape)
         raise DimensionError(f"{name} must have shape ({expected}), got {arr.shape}")

@@ -44,6 +44,8 @@ import math
 import os
 import pickle
 import stat
+import threading
+import time
 from json.decoder import WHITESPACE, scanstring
 
 import numpy as np
@@ -515,7 +517,8 @@ def _pooled_map(function, *iterables, workers: int):
 
     An exception a call raises is raised here; a worker that ends without
     its results raises ``BrokenProcessPool``. Abandoning the map cancels the
-    calls not yet started and waits for the workers to end.
+    calls not yet started and waits for the workers to end. A worker whose
+    parent dies ends within about half a second.
     """
     calls = list(zip(*iterables))
     if workers < 2:
@@ -526,7 +529,7 @@ def _pooled_map(function, *iterables, workers: int):
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_keep_calls, initargs=(function, calls))
+                               initializer=_keep_calls, initargs=(function, calls, os.getpid()))
     try:
         for result in pool.map(_run_call, range(len(calls))):
             yield pickle.loads(result)
@@ -534,10 +537,24 @@ def _pooled_map(function, *iterables, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _keep_calls(function, calls) -> None:
-    """The initializer of each worker of a ``_pooled_map``: its calls."""
+def _keep_calls(function, calls, parent: int) -> None:
+    """The initializer of each worker of a ``_pooled_map``: its calls, and a
+    daemon thread that ends the worker once ``parent``, the process that
+    forked it, has died. Nothing else would: each worker blocks on the
+    pool's call queue and holds the write end of its pipe open itself.
+    ``parent`` is the pid the parent read itself, so a parent that dies
+    before this initializer runs is caught too."""
     global _calls
     _calls = function, calls
+    threading.Thread(target=_exit_with, args=(parent,), daemon=True).start()
+
+
+def _exit_with(parent: int) -> None:
+    """End this process once ``parent`` is no longer its parent, polled
+    about twice a second."""
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
 
 
 def _run_call(index: int):

@@ -232,6 +232,48 @@ class TestForward:
         assert np.all(trace.assoc >= 0.0) and np.all(trace.assoc <= 1.0)
         np.testing.assert_allclose(trace.assoc.sum(axis=-1), 1.0, atol=1e-12)
 
+    # cross_attend builds its trace without the row-sum check of AttentionTrace,
+    # so that check must not be able to fire there: scores found finite give
+    # rows that sum to 1, also where the softmax saturates (one weight of 1, the
+    # rest underflowing to 0), is near uniform, or sums more than INNER_MAX entries.
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["proposal", "query"]),
+        st.integers(1, 8),
+        st.integers(1, 50),
+        st.sampled_from([0.0, 1e-12, 1.0, 1e4]),
+        st.floats(0.5, 2.0),
+    )
+    @example(seed=0, mode="query", heads=8, n=50, scale=1e4, magnitude=1.0)  # saturated, 400 entries
+    @example(seed=1, mode="proposal", heads=6, n=50, scale=1e-12, magnitude=2.0)  # near uniform, 300
+    @example(seed=2, mode="proposal", heads=8, n=33, scale=1.0, magnitude=1.0)  # 264 entries
+    def test_association_rows_sum_to_1_for_any_finite_batch(
+        self, seed, mode, heads, n, scale, magnitude
+    ):
+        rng = np.random.default_rng(seed)
+        c, d = int(rng.integers(2, 9)), int(rng.integers(1, 9))
+        bank = random_bank(seed=seed, n=n, dim=d)
+        params = init_attention(c=c, d=d, d_m=int(rng.integers(1, 5)), heads=heads, seed=seed)
+        params = replace(params, w_q=params.w_q * scale)
+        shape = (int(rng.integers(1, 4)), 2, 3, c) if mode == "proposal" else (3, 1, c)
+        batch = FeatureBatch(mode=mode, blocks=rng.normal(size=shape) * magnitude)
+        _, trace = cross_attend(batch, bank, params)
+        assert np.all(trace.assoc >= 0.0) and np.all(trace.assoc <= 1.0)
+        assert np.abs(trace.assoc.sum(axis=-1) - 1.0).max() <= 1e-6
+        AttentionTrace(trace.assoc, trace.pre_norm, trace.output)  # the check passes
+
+    @pytest.mark.parametrize("mode", ["query", "proposal"])
+    def test_the_batch_and_trace_are_what_their_constructors_build(self, mode):
+        batch, bank, params = small_setup(seed=23)
+        if mode == "query":
+            batch = FeatureBatch(mode="query", blocks=batch.rows().reshape(-1, 1, batch.c))
+        out, trace = cross_attend(batch, bank, params)
+        assert FeatureBatch(out.mode, out.blocks) == out
+        assert AttentionTrace(trace.assoc, trace.pre_norm, trace.output) == trace
+        assert out.mode == mode and out.blocks.dtype == np.float64
+        assert np.shares_memory(out.blocks, trace.output)
+
     def test_preserves_shape_and_mode(self, detection_scale):
         batch, _, _, out, _ = detection_scale
         assert out.mode == batch.mode

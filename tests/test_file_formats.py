@@ -4,13 +4,18 @@ Writers must keep producing the exact bytes pinned below, and every reader
 must reject malformed values with exit code 2 and name the file.
 """
 
+import contextlib
 import hashlib
 import json
 import os
+import signal
 import stat
+import subprocess
 import sys
 import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,6 +384,63 @@ def test_two_threads_load_their_own_batches_at_once(tmp_path, pooled):
             wrong.append(k)
 
     assert _in_two_threads(load) == [] and wrong == []
+
+
+# A two-worker map whose calls each write their worker's pid to a file in
+# the directory argv[1] names, then sleep.
+_SLEEPING_MAP = """
+import os, sys, time
+from pedbank import jsonio
+
+def call(i):
+    with open(os.path.join(sys.argv[1], str(os.getpid())), "w"):
+        pass
+    time.sleep(60)
+
+list(jsonio._pooled_map(call, range(2), workers=2))
+"""
+
+
+def _ended(pid):
+    """Whether process ``pid`` has ended; on Linux a zombie, ended but not
+    yet reaped by its new parent, counts."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rpartition(")")[2].split()[0] == "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
+def test_workers_end_when_their_parent_is_killed(tmp_path, sig):
+    src = Path(jsonio.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(src), os.environ.get("PYTHONPATH")])))
+    parent = subprocess.Popen([sys.executable, "-c", _SLEEPING_MAP, str(tmp_path)], env=env)
+    pids = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(pids) < 2 and parent.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            pids = [int(path.name) for path in tmp_path.iterdir()]
+        assert len(pids) == 2, "the map's two workers did not start"
+        parent.send_signal(sig)
+        parent.wait(timeout=60)
+        deadline = time.monotonic() + 5
+        while not all(map(_ended, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert all(map(_ended, pids)), "a worker outlived its parent by 5 s"
+    finally:
+        parent.kill()
+        parent.wait(timeout=60)
+        for pid in pids:
+            if not _ended(pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
 
 def test_a_written_file_gets_the_permissions_open_gives(tmp_path):
