@@ -44,7 +44,7 @@ _PARAM_ARRAYS = ("w_q", "w_k", "w_v", "w_o", "gain", "bias")
 INNER_MAX = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureBatch:
     """A batch of feature blocks: ``(m, h, w, c)`` arrays in proposal mode,
     ``(m, 1, c)`` in query mode."""
@@ -87,7 +87,7 @@ def param_shapes(heads: int, d_model: int, c: int, d: int) -> dict[str, tuple[in
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionParams:
     """Per-head projections, the shared output projection, and the
     layer-norm affine, each kept as an owned read-only float64 array
@@ -107,7 +107,7 @@ class AttentionParams:
     # fold's only bank input and each bank computes its own, so holding it
     # keeps no bank alive, lets no other bank's array match and, unlike a
     # weak reference, lets the params pickle.
-    _fold: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _fold: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         check_sizes(heads=self.heads, d_model=self.d_model)
@@ -134,7 +134,7 @@ class AttentionParams:
         return self.w_k.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionTrace:
     """Per-head association matrices, the pre-norm sums, and the output rows."""
 
@@ -147,7 +147,7 @@ class AttentionTrace:
             raise NumericalError("association rows must sum to 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionGrads:
     """Gradients of a scalar objective for every attention parameter."""
 
@@ -303,29 +303,38 @@ def attention_gradients(
     ``upstream`` must match the block array shape and be finite. Gradients
     cover every projection matrix and the layer-norm affine; they are exact
     and are checked against central finite differences in the test suite.
+
+    Working memory, for M rows over all blocks: at most the association and
+    three ``(M, c)`` arrays at once, or three ``(M, heads*n)`` arrays in the
+    softmax backward (46 MiB at the paper's sizes, 100 blocks of 7x7x256).
     """
     up = check_array("upstream", upstream, batch.blocks.shape)
-    x, assoc, pre = _forward_parts(batch, bank, params)
+    x, assoc, xhat = _forward_parts(batch, bank, params)  # the pre-norm sums, standardized in place
     k, v, _, b = _project(bank, params)
-    heads, n = params.heads, bank.n
+    heads, n, c = params.heads, bank.n, xhat.shape[-1]
 
-    du = up.reshape(pre.shape)
-    xhat = pre - pre.sum(axis=-1, keepdims=True) / pre.shape[-1]
-    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / pre.shape[-1] + params.eps)
+    du = up.reshape(xhat.shape)  # may view the caller's upstream, so it is only read
+    xhat -= xhat.sum(axis=-1, keepdims=True) / c
+    rows = xhat * xhat  # the one scratch array of the four row products
+    inv = 1.0 / np.sqrt(rows.sum(axis=-1, keepdims=True) / c + params.eps)
     xhat *= inv
     d_bias = du.sum(axis=0)
-    d_gain = (du * xhat).sum(axis=0)
-    dxhat = du * params.gain
-    ds = dxhat - dxhat.sum(axis=-1, keepdims=True) / pre.shape[-1]
-    ds -= xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / pre.shape[-1])
+    d_gain = np.multiply(du, xhat, out=rows).sum(axis=0)
+    ds = du * params.gain  # dxhat, made ds in place once both its row sums are taken
+    proj = np.multiply(ds, xhat, out=rows).sum(axis=-1, keepdims=True) / c
+    ds -= ds.sum(axis=-1, keepdims=True) / c
+    ds -= np.multiply(xhat, proj, out=rows)
     ds *= inv
+    del xhat, rows
     # residual: ds is the cotangent of assoc @ b (the input branch needs no gradient)
     d_b = (assoc.T @ ds).reshape(heads, n, -1)  # (heads, n, c)
     d_assoc = ds @ b.T
+    del ds
     # softmax backward per head, in place on d_assoc to spare two (M, heads*n) arrays
     per_head = d_assoc.reshape(len(x), heads, n)
     per_head -= (per_head * assoc.reshape(per_head.shape)).sum(axis=-1, keepdims=True)
     d_assoc *= assoc
+    del assoc
     d_a = (x.T @ d_assoc).reshape(-1, heads, n).transpose(1, 0, 2)  # (heads, c, n)
     d_a *= 1.0 / math.sqrt(params.d_model)
     d_wo = (v.transpose(0, 2, 1) @ d_b).reshape(params.w_o.shape)

@@ -25,7 +25,7 @@ BANK_FORMAT_VERSION = 1
 _MATRICES = ("f_q", "f_h", "f_k")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnowledgeBank:
     """The quantized codewords ``f_q``, the learned hints ``f_h``, the composed
     features ``f_k = f_q + f_h`` and a string-to-string ``meta`` map.

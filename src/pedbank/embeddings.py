@@ -25,7 +25,7 @@ BACKGROUND = "background"
 LABELS = (PEDESTRIAN, BACKGROUND)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingDataset:
     """Labeled embeddings as columns: row ``i`` is ``ids[i]``, ``labels[i]``
     and ``vectors[i]``.

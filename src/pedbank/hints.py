@@ -35,7 +35,7 @@ W1_BLOCK_STEPS = 16
 HISTORY_COLUMNS = ("loss", "ped_index", "ped_loss", "bg_index", "bg_loss")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HintSet:
     """One additive hint row per codeword, ``(n, dim)``."""
 
@@ -85,7 +85,7 @@ class TrainConfig:
         check_seed(self.seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForwardCache:
     """Intermediates of one forward pass, consumed by ``backward``."""
 
@@ -96,7 +96,7 @@ class ForwardCache:
     logit: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassifierGrads:
     """Loss gradients for the classifier and the selected hint row.
 

@@ -32,7 +32,7 @@ class KMeansConfig:
             raise PreconditionError("tol must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     """``n`` pairwise distinct codeword rows of dimension ``dim``, frozen
     after clustering; both sizes are read off ``centroids``."""
@@ -42,7 +42,7 @@ class Codebook:
     def __post_init__(self):
         cents = check_array("centroids", self.centroids, (None, None))
         object.__setattr__(self, "centroids", cents)
-        if np.unique(cents, axis=0).shape[0] != self.n:
+        if _distinct_rows(cents) != self.n:
             raise PreconditionError("codebook rows must be pairwise distinct")
 
     @property
@@ -52,6 +52,12 @@ class Codebook:
     @property
     def dim(self) -> int:
         return self.centroids.shape[1]
+
+
+def _distinct_rows(rows: np.ndarray) -> int:
+    """How many distinct rows a finite 2-D array holds, compared as floats:
+    adding 0.0 makes every -0.0 a 0.0, so equal rows have equal bytes."""
+    return len(set(map(bytes, rows + 0.0)))
 
 
 def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -91,7 +97,7 @@ def kmeans_with_objectives(
     if len(points) == 0:
         raise PreconditionError("cannot cluster an empty dataset")
     X = points.vectors
-    distinct = int(np.unique(X, axis=0).shape[0])
+    distinct = _distinct_rows(X)
     if distinct < config.n:
         raise PreconditionError(
             f"need at least {config.n} distinct points, found {distinct}"

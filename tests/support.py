@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pedbank import jsonio
+from pedbank import attention, jsonio
 from pedbank.bank import KnowledgeBank
 from pedbank.embeddings import PEDESTRIAN, EmbeddingDataset
 from pedbank.errors import PedbankError
@@ -141,5 +141,39 @@ def einsum_attention(batch, bank, params, upstream):
     return blocks, assoc, grads
 
 
-__all__ = ["make_dataset", "random_bank", "einsum_attention", "hard_doubles",
-           "first_float_text_mismatch", "PEDESTRIAN"]
+def reference_attention_gradients(batch, bank, params, upstream):
+    """``attention.attention_gradients`` step by step, each step into a new
+    array: the same operations on the same operands in the same order, so
+    the in-place version must give these bits. Keyed by parameter name."""
+    x, assoc, pre = attention._forward_parts(batch, bank, params)
+    k, v, _, b = attention._project(bank, params)
+    heads, n = params.heads, bank.n
+
+    du = np.asarray(upstream, dtype=np.float64).reshape(pre.shape)
+    xhat = pre - pre.sum(axis=-1, keepdims=True) / pre.shape[-1]
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / pre.shape[-1] + params.eps)
+    xhat *= inv
+    d_bias = du.sum(axis=0)
+    d_gain = (du * xhat).sum(axis=0)
+    dxhat = du * params.gain
+    ds = dxhat - dxhat.sum(axis=-1, keepdims=True) / pre.shape[-1]
+    ds -= xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / pre.shape[-1])
+    ds *= inv
+    d_b = (assoc.T @ ds).reshape(heads, n, -1)
+    d_assoc = ds @ b.T
+    per_head = d_assoc.reshape(len(x), heads, n)
+    per_head -= (per_head * assoc.reshape(per_head.shape)).sum(axis=-1, keepdims=True)
+    d_assoc *= assoc
+    d_a = (x.T @ d_assoc).reshape(-1, heads, n).transpose(1, 0, 2)
+    d_a *= 1.0 / math.sqrt(params.d_model)
+    d_wo = (v.transpose(0, 2, 1) @ d_b).reshape(params.w_o.shape)
+    d_v = d_b @ params.w_o.reshape(heads, params.d_model, -1).transpose(0, 2, 1)
+    d_wq = d_a @ k
+    d_k = d_a.transpose(0, 2, 1) @ params.w_q
+    d_wk = bank.f_k.T @ d_k
+    d_wv = bank.f_k.T @ d_v
+    return {"w_q": d_wq, "w_k": d_wk, "w_v": d_wv, "w_o": d_wo, "gain": d_gain, "bias": d_bias}
+
+
+__all__ = ["make_dataset", "random_bank", "einsum_attention", "reference_attention_gradients",
+           "hard_doubles", "first_float_text_mismatch", "PEDESTRIAN"]

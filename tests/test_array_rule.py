@@ -6,11 +6,26 @@ import pickle
 import numpy as np
 import pytest
 
-from pedbank.attention import AttentionParams, FeatureBatch, attention_gradients, init_attention
+from pedbank.attention import (
+    AttentionGrads,
+    AttentionParams,
+    AttentionTrace,
+    FeatureBatch,
+    attention_gradients,
+    init_attention,
+)
 from pedbank.bank import KnowledgeBank
 from pedbank.embeddings import PEDESTRIAN, EmbeddingDataset, generate_synthetic
 from pedbank.errors import DimensionError, PreconditionError, check_array, owned_readonly
-from pedbank.hints import ClassifierParams, HintSet, TrainConfig, init_classifier, init_hints
+from pedbank.hints import (
+    ClassifierGrads,
+    ClassifierParams,
+    ForwardCache,
+    HintSet,
+    TrainConfig,
+    init_classifier,
+    init_hints,
+)
 from pedbank.quantizer import Codebook, KMeansConfig, quantize
 
 PARAMS = init_attention(c=2, d=2, d_m=1, heads=1, seed=0)
@@ -269,3 +284,28 @@ def test_seed_rule_rejects_what_is_not_a_nonnegative_integer(site, seed):
 @pytest.mark.parametrize("site", SEEDED)
 def test_seed_rule_accepts_nonnegative_integers(site, seed):
     SEEDED[site](seed)
+
+
+# class -> a builder of an instance from fresh arrays, equal on every call
+ARRAY_HOLDERS = {
+    "FeatureBatch": lambda: FeatureBatch("query", np.ones((2, 1, 2))),
+    "AttentionParams": lambda: AttentionParams(
+        heads=1, d_model=1, **{name: arr.copy() for name, arr in PARAM_ARRAYS.items()}
+    ),
+    "AttentionTrace": lambda: AttentionTrace(np.full((1, 1, 1, 2), 0.5), np.ones((1, 1, 2)), np.ones((1, 1, 2))),
+    "AttentionGrads": lambda: AttentionGrads(**{name: arr.copy() for name, arr in PARAM_ARRAYS.items()}),
+    "KnowledgeBank": lambda: KnowledgeBank(f_q=np.eye(2), f_h=np.zeros((2, 2))),
+    "EmbeddingDataset": lambda: EmbeddingDataset(ids=("a", "b"), labels=(PEDESTRIAN,) * 2, vectors=np.eye(2)),
+    "HintSet": lambda: HintSet(np.eye(2)),
+    "Codebook": lambda: Codebook(np.eye(2)),
+    "ForwardCache": lambda: ForwardCache(index=0, x=np.ones(2), pre=np.ones(2), hid=np.ones(2), logit=0.5),
+    "ClassifierGrads": lambda: ClassifierGrads(x=np.ones(2), b1=np.ones(2), w2=np.ones((1, 2)), b2=0.5, hint=np.ones(2)),
+}
+
+
+@pytest.mark.parametrize("holder", ARRAY_HOLDERS)
+def test_an_array_holder_compares_by_identity_and_hashes(holder):
+    one, other = ARRAY_HOLDERS[holder](), ARRAY_HOLDERS[holder]()
+    assert one == one
+    assert one != other and not one == other  # equal arrays, another instance: no array truth value
+    assert hash(one) == hash(one) and len({one, other}) == 2

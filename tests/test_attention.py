@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -30,7 +31,7 @@ from pedbank.bank import KnowledgeBank
 from pedbank.errors import DimensionError, NumericalError, ParseError, PreconditionError
 from pedbank.gradcheck import attention_check
 
-from support import einsum_attention, random_bank, read_both_ways
+from support import einsum_attention, random_bank, read_both_ways, reference_attention_gradients
 
 
 def small_setup(seed=3, m=3, h=2, w=2, c=8, n=4, d=8, d_m=4, heads=2):
@@ -269,8 +270,9 @@ class TestForward:
         if mode == "query":
             batch = FeatureBatch(mode="query", blocks=batch.rows().reshape(-1, 1, batch.c))
         out, trace = cross_attend(batch, bank, params)
-        assert FeatureBatch(out.mode, out.blocks) == out
-        assert AttentionTrace(trace.assoc, trace.pre_norm, trace.output) == trace
+        # the same fields, field by field (== on the instances is identity)
+        assert vars(FeatureBatch(out.mode, out.blocks)) == vars(out)
+        assert vars(AttentionTrace(trace.assoc, trace.pre_norm, trace.output)) == vars(trace)
         assert out.mode == mode and out.blocks.dtype == np.float64
         assert np.shares_memory(out.blocks, trace.output)
 
@@ -600,6 +602,44 @@ class TestGradients:
         upstream[1, 0, 1, 2] = value
         with pytest.raises(PreconditionError, match="upstream must be finite"):
             attention_gradients(batch, bank, params, upstream)
+
+
+class TestGradientsInPlace:
+    """The backward works in its own arrays: the bits of the step-by-step
+    reference, the caller's upstream untouched, and a bounded peak."""
+
+    @pytest.mark.parametrize("mode, shape", [
+        ("proposal", dict()),
+        ("proposal", dict(m=6, h=7, w=7, c=16, n=10, d=12, d_m=5, heads=3)),  # M = 294 rows
+        ("proposal", dict(m=3, h=10, w=10, c=12, n=50, d=16, d_m=4, heads=6)),  # heads * n = 300
+        ("query", dict(m=300, h=1, w=1, c=8, n=40, d=8, d_m=3, heads=8)),  # heads * n = 320
+    ])
+    def test_has_the_bits_of_the_reference(self, mode, shape):
+        batch, bank, params = small_setup(seed=50, **shape)
+        if mode == "query":
+            batch = FeatureBatch(mode, batch.blocks.reshape(batch.m, 1, batch.c))
+        upstream = np.random.default_rng(51).normal(size=batch.blocks.shape)
+        upstream.flags.writeable = False  # kept as it is, so any write into it raises
+        want = reference_attention_gradients(batch, bank, params, upstream)
+        grads = attention_gradients(batch, bank, params, upstream)
+        for name, expect in want.items():
+            got = getattr(grads, name)
+            assert got.shape == expect.shape and got.tobytes() == expect.tobytes(), name
+
+    def test_peak_memory_is_about_three_associations(self):
+        # a backward that keeps its dead arrays holds 3 (M, heads*n) and 4 (M, c) arrays at once
+        batch, bank, params = small_setup(seed=52, m=8, h=7, w=7, c=32, n=25, d=16, d_m=8, heads=4)
+        upstream = np.random.default_rng(53).normal(size=batch.blocks.shape)
+        attention_gradients(batch, bank, params, upstream)  # the bank fold is built outside the trace
+        tracemalloc.start()
+        try:
+            attention_gradients(batch, bank, params, upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = batch.blocks.size * 8
+        assoc = rows // batch.c * params.heads * bank.n
+        assert peak <= 3 * assoc + 2 * rows, (peak / assoc, peak / rows)
 
 
 def relative_error(got, want):

@@ -111,6 +111,14 @@ class TestKMeans:
         with pytest.raises(PreconditionError, match="distinct"):
             kmeans_with_objectives(make_dataset(pts), KMeansConfig(n=4, seed=0))[0]
 
+    def test_counts_rows_that_differ_only_in_a_zeros_sign_once(self):
+        # -0.0 == 0.0 as floats, as np.unique(axis=0) compares rows; exact duplicates count once too
+        pts = [[0.0, 1.0], [-0.0, 1.0], [2.0, -0.0], [2.0, 0.0], [3.0, 3.0], [3.0, 3.0]]
+        assert quantizer._distinct_rows(np.array(pts)) == np.unique(pts, axis=0).shape[0] == 3
+        with pytest.raises(PreconditionError, match=r"^need at least 4 distinct points, found 3$"):
+            kmeans_with_objectives(make_dataset(pts), KMeansConfig(n=4, seed=0))
+        assert kmeans_with_objectives(make_dataset(pts), KMeansConfig(n=3, seed=0))[0].n == 3
+
     def test_rejects_empty_dataset(self):
         with pytest.raises(PreconditionError, match="empty"):
             kmeans_with_objectives(make_dataset([]), KMeansConfig(n=1, seed=0))[0]
@@ -172,6 +180,8 @@ class TestCodebook:
     def test_rejects_duplicate_rows(self):
         with pytest.raises(PreconditionError, match="distinct"):
             Codebook(np.ones((2, 2)))
+        with pytest.raises(PreconditionError, match="^codebook rows must be pairwise distinct$"):
+            Codebook(np.array([[0.0, 1.0], [-0.0, 1.0]]))
 
     def test_rejects_non_finite(self):
         cents = np.eye(2)
