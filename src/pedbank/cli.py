@@ -54,6 +54,16 @@ def seed_type(text: str) -> int:
     return seed
 
 
+def tolerance_type(text: str) -> float:
+    """The argparse type of ``--tolerance``: a positive finite number."""
+    try:
+        if 0 < (tolerance := float(text)) < np.inf:  # not NaN, infinite, zero or negative
+            return tolerance
+    except ValueError:  # not a number at all
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+
+
 def cmd_gen_synthetic(args) -> int:
     dataset = embeddings.generate_synthetic(
         seed=args.seed,
@@ -272,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gradcheck", help="finite-difference check of both backward passes"
     )
     p.add_argument("--seed", type=seed_type, default=0)
-    p.add_argument("--tolerance", type=float, default=gradcheck.DEFAULT_TOLERANCE)
+    p.add_argument("--tolerance", type=tolerance_type, default=gradcheck.DEFAULT_TOLERANCE)
     p.add_argument("--inject-sign-error", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
     return parser

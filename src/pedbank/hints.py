@@ -45,7 +45,7 @@ class HintSet:
         object.__setattr__(self, "hints", check_array("hints", self.hints, (None, None)))
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassifierParams:
     """Two-layer rectifier head: logit = w2 @ relu(w1 @ x + b1) + b2."""
 

@@ -24,13 +24,13 @@ Large inputs are read and written on every CPU, by one size rule (at least
 ``POOL_MIN_VALUES`` values, on a platform that reports more than one CPU
 available to the process) and through one map, ``_pooled_map``, which forks
 its workers: they format the chunks of a large array, and they parse a
-JSON-lines file (``map_lines``) or the flat array of a document
-(``read_document``) in the parts that ``_map_parts`` cuts, which also holds
-the readers' fall-back. The bytes written, the arrays read and every error
-do not depend on which way ran. Each map's calls go only to its own
-workers, so readers and writers may run in several threads at once.
-Every writer of the package goes through ``replacing``, so a failed write
-leaves an existing file as it was.
+JSON-lines file (``map_lines``) or the flat array of a document, which
+``json`` itself finds (``read_document``), in the parts that ``_map_parts``
+cuts, which also holds the readers' fall-back. The bytes written, the
+arrays read and every error do not depend on which way ran. Each map's
+calls go only to its own workers, so readers and writers may run in
+several threads at once. Every writer of the package goes through
+``replacing``, so a failed write leaves an existing file as it was.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ import json
 import math
 import os
 import pickle
+import re
 import stat
 import threading
 import time
-from json.decoder import WHITESPACE, scanstring
 
 import numpy as np
 
@@ -588,58 +588,32 @@ def _map_parts(work, start: int, stop: int, cut) -> list | None:
 
 
 def _parse_flat(text: str, key: str) -> dict | None:
-    """``json.loads(text)`` with the items of ``key``'s flat array parsed
-    through ``_map_parts`` into a float64 array; ``None`` where the text is
-    not such an object or ``_map_parts`` gives ``None``."""
-    found = _locate_flat(text, key)
-    if found is None:
+    """``json.loads(text)`` with ``key``'s flat array parsed through
+    ``_map_parts`` into a float64 array, or ``None``. ``json`` reads the text
+    with ``NaN`` from the first ``"key": [`` to the first ``]``, and only a
+    ``dict`` whose ``key`` holds that ``NaN``, the one constant, passes. The
+    cut is then the array: the ``[`` lies outside strings, as a bare word is
+    not JSON; a ``]`` in a string leaves text lexed with strings and structure
+    swapped, which meets a ``\\`` outside a string or ends inside one; one
+    closing a nested array leaves an unmatched ``]``."""
+    found = re.search(r'"%s"[ \t\n\r]*:[ \t\n\r]*\[' % re.escape(key), text)
+    stop = text.find("]", found.end()) + 1 if found else 0
+    if not stop:
         return None
-    doc, start, stop = found
+    start, constants = found.end(), []
+    try:
+        doc = json.loads(text[:start - 1] + "NaN" + text[stop:],
+                         parse_constant=lambda name: constants.append(name) or constants)
+    except ValueError:  # invalid JSON, or an integer longer than int() takes
+        return None
+    if type(doc) is not dict or doc.get(key) is not constants or len(constants) != 1:
+        return None
     parts = _map_parts(functools.partial(_parse_slice, text), start, stop,
                        lambda at: text.find(",", at, stop) + 1 or stop)
     if parts is None:
         return None
     doc[key] = np.frombuffer(bytearray().join(parts))
     return doc
-
-
-def _locate_flat(text: str, key: str):
-    """``(doc, start, stop)`` where ``text`` is one JSON object with distinct
-    keys whose ``key`` holds an array: ``text[start:stop]`` runs from after
-    the array's ``[`` to just after its first ``]``, which closes it if its
-    items are numbers, and ``doc`` holds every other key, read by the
-    ``json`` decoder. ``None`` for any other text."""
-    decoder = json.JSONDecoder()
-    doc, items = {}, None
-    i = WHITESPACE.match(text).end() + 1
-    if text[i - 1:i] != "{":
-        return None
-    try:
-        while True:
-            i = WHITESPACE.match(text, i).end()
-            if text[i:i + 1] != '"':
-                return None
-            name, i = scanstring(text, i + 1)
-            i = WHITESPACE.match(text, i).end()
-            if text[i:i + 1] != ":" or name in doc or (name == key and items):
-                return None
-            i = WHITESPACE.match(text, i + 1).end()
-            if name == key:  # numbers hold no "]"; other items fail in _parse_slice
-                stop = text.find("]", i) + 1
-                if text[i:i + 1] != "[" or not stop:
-                    return None
-                items, i = (i + 1, stop), stop
-            else:
-                doc[name], i = decoder.raw_decode(text, i)
-            i = WHITESPACE.match(text, i).end()
-            if text[i:i + 1] != ",":
-                break
-            i += 1
-    except ValueError:  # invalid JSON, or an integer longer than int() takes
-        return None
-    if text[i:i + 1] != "}" or not items or WHITESPACE.match(text, i + 1).end() != len(text):
-        return None
-    return doc, *items
 
 
 def _parse_slice(text: str, start: int, stop: int) -> bytes:

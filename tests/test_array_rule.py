@@ -300,6 +300,7 @@ ARRAY_HOLDERS = {
     "Codebook": lambda: Codebook(np.eye(2)),
     "ForwardCache": lambda: ForwardCache(index=0, x=np.ones(2), pre=np.ones(2), hid=np.ones(2), logit=0.5),
     "ClassifierGrads": lambda: ClassifierGrads(x=np.ones(2), b1=np.ones(2), w2=np.ones((1, 2)), b2=0.5, hint=np.ones(2)),
+    "ClassifierParams": lambda: ClassifierParams(**CLASSIFIER),
 }
 
 

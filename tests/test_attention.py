@@ -770,11 +770,15 @@ FLAT_CASES = {
     "split: JSON whitespace everywhere":
         ' \n{ %s ,\r\n"data"\t:[ 1e16 ,\n2.5E-3,-0.0 , 4 ] }\n\n' % HEADER,
     "split: data in a string value": '{"note": "\\"data\\": [9]", %s, %s}' % (HEADER, DATA),
-    "split: data nested in another key": '{"meta": {"data": [9]}, %s, %s}' % (HEADER, DATA),
+    "data nested in another key": '{"meta": {"data": [9]}, %s, %s}' % (HEADER, DATA),
+    "data in an escaped key before data": '{"x\\"data": [9], %s, %s}' % (HEADER, DATA),
+    "NaN in another key": '{"n": NaN, %s, %s}' % (HEADER, DATA),
+    "split: compact": '{"mode":"proposal","m":1,"h":1,"w":2,"c":2,"data":[1.0,-0.0,5e-324,4]}',
+    "split: a string holding ] after data": '{%s, %s, "note": "a]b"}' % (HEADER, DATA),
     "split: a wrong length": '{%s, "data": [1.0, 2.0, 3.0]}' % HEADER,
     "split: a cut at the closing ]": '{%s, "data": [1.0, 2.0, 3.0, 400.0]}' % HEADER,
     "data twice": "{%s, %s, %s}" % (HEADER, DATA, DATA.replace("1.0", "7.0")),
-    "another key twice": '{"m": 2, %s, %s}' % (HEADER, DATA),
+    "split: another key twice": '{"m": 2, %s, %s}' % (HEADER, DATA),
     "nested data": '{%s, "data": [[1.0, 2.0], [3.0, 4.0]]}' % HEADER,
     "a string in data": '{%s, "data": [1.0, "2", 3.0, 4.0]}' % HEADER,
     "a string holding ] in data": '{%s, "data": ["]", 2.0, 3.0, 4.0]}' % HEADER,
@@ -809,6 +813,36 @@ def test_pooled_and_in_process_loads_agree(tmp_path, monkeypatch, name):
     in_process, pooled = read_both_ways(load_feature_batch, path)
     assert pooled == in_process
     assert (docs[-1] is not None) == name.startswith("split")
+
+
+# The pieces of the documents below: ``data`` in three layouts, and what a
+# search for ``"data": [`` could take for it, before or after the real one.
+FLAT_PIECES = [
+    DATA, '"data":[1.0,-0.0,5e-324,4]', '"data"\t:\n[ 1e16 ,2.5E-3, -0.0 , 4 ] ',
+    '"meta": {"data": [9]}', '"x\\"data": [9]', '"note": "\\"data\\": [9]"', '"note": "a]b"',
+    '"n": NaN', '"n": -Infinity', '"m": 2', '"data": [[1.0, 2.0], [3.0, 4.0]]', '"data": [1.0, "]", 3.0, 4.0]',
+]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    items=st.lists(st.sampled_from(FLAT_PIECES), min_size=1, max_size=4).flatmap(
+        lambda pieces: st.permutations(HEADER.split(", ") + pieces)
+    ),
+    separator=st.sampled_from([", ", ",", " ,\r\n"]),
+    edit=st.none() | st.tuples(
+        st.integers(min_value=0), st.sampled_from(["", " ", ",", ":", "[", "]", "{", '"', "\\", "0"])
+    ),
+)
+def test_pooled_and_in_process_loads_agree_on_mixed_documents(tmp_path_factory, items, separator, edit):
+    text = "{" + separator.join(items) + "}"
+    if edit is not None:  # one character replaced, or removed
+        at = edit[0] % len(text)
+        text = text[:at] + edit[1] + text[at + 1:]
+    path = tmp_path_factory.mktemp("flat") / "batch.json"
+    path.write_text(text)
+    in_process, pooled = read_both_ways(load_feature_batch, path)
+    assert pooled == in_process
 
 
 class TestParamsFiles:

@@ -100,6 +100,14 @@ def test_negative_seed_is_a_usage_error(command, capsys):
         assert f"--seed: must be a nonnegative integer, got '{seed}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1", "abc"])
+def test_tolerance_that_is_not_positive_and_finite_is_a_usage_error(tolerance, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--tolerance", tolerance])
+    assert exc.value.code == 2
+    assert f"--tolerance: must be a positive finite number, got '{tolerance}'" in capsys.readouterr().err
+
+
 @pytest.fixture()
 def embeddings_file(tmp_path):
     path = tmp_path / "embeddings.jsonl"
