@@ -64,11 +64,11 @@ class FeatureBatch:
 
     @property
     def h(self) -> int:
-        return self.blocks.shape[1] if self.mode == PROPOSAL else 1
+        return self.blocks.shape[1]
 
     @property
     def w(self) -> int:
-        return self.blocks.shape[2] if self.mode == PROPOSAL else 1
+        return self.blocks.shape[-2]
 
     @property
     def c(self) -> int:

@@ -92,12 +92,10 @@ def load_bank(path) -> KnowledgeBank:
     n, dim = jsonio.read_size(doc, "n", path), jsonio.read_size(doc, "dim", path)
     f_q, f_h, f_k = (jsonio.read_array(doc, key, path, (n, dim)) for key in _MATRICES)
     f_q.flags.writeable = f_h.flags.writeable = False  # handed over: kept without a copy
-    meta = doc["meta"]
-    if not isinstance(meta, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
-    ):
-        raise ParseError(f"{path}: meta must map strings to strings")
-    bank = KnowledgeBank(f_q=f_q, f_h=f_h, meta=meta)
+    try:  # the arrays passed every rule above, so only the meta rule can fail here
+        bank = KnowledgeBank(f_q=f_q, f_h=f_h, meta=doc["meta"])
+    except PreconditionError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if not np.array_equal(f_k, bank.f_k):
         raise PreconditionError("composed features f_k must equal f_q + f_h exactly")
     return bank

@@ -179,12 +179,8 @@ def cmd_complement(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    clf_errors = gradcheck.classifier_check(
-        seed=args.seed, negate="w1" if args.inject_sign_error else None
-    )
-    attn_errors = gradcheck.attention_check(
-        seed=args.seed, negate="w_q" if args.inject_sign_error else None
-    )
+    clf_errors = gradcheck.classifier_check(seed=args.seed)
+    attn_errors = gradcheck.attention_check(seed=args.seed)
     worst = 0.0
     for group, err in clf_errors.items():
         print(f"classifier {group}: {err:.3e}")
@@ -283,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=seed_type, default=0)
     p.add_argument("--tolerance", type=tolerance_type, default=gradcheck.DEFAULT_TOLERANCE)
-    p.add_argument("--inject-sign-error", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

@@ -163,11 +163,19 @@ def split_by_label(dataset: EmbeddingDataset) -> tuple[EmbeddingDataset, Embeddi
 
 
 def l2_normalize(vector) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm; the direction is preserved."""
+    """Scale a vector to unit Euclidean norm; the direction is preserved.
+
+    A norm that under- or overflows is taken again after dividing by the
+    largest magnitude, so only an all-zero vector raises.
+    """
     vec = np.asarray(vector, dtype=np.float64)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise PreconditionError("cannot normalize a zero vector")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vec))
+    if norm == 0.0 or norm == np.inf:
+        if (scale := np.max(np.abs(vec), initial=0.0)) == 0.0:
+            raise PreconditionError("cannot normalize a zero vector")
+        vec = vec / scale
+        norm = float(np.linalg.norm(vec))
     return vec / norm
 
 

@@ -70,13 +70,25 @@ def central_difference(fn, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndar
     return grad
 
 
-def classifier_check(seed: int, negate: str | None = None) -> dict[str, float]:
+def _group_errors(objective, holder, analytic: dict) -> dict[str, float]:
+    """Relative error of each ``analytic`` gradient, keyed by a field of
+    ``holder``, against the central difference of ``objective`` with that
+    field replaced (``dataclasses.replace``) on every evaluation."""
+    return {
+        name: relative_error(grad, central_difference(
+            lambda x: objective(dataclasses.replace(holder, **{name: x})),
+            np.array(getattr(holder, name)),
+        ))
+        for name, grad in analytic.items()
+    }
+
+
+def classifier_check(seed: int) -> dict[str, float]:
     """Max relative error per parameter group of the classifier backward.
 
     Checks both labels on one random instance; the hints group compares
     against the full hint matrix, which also verifies that unselected rows
-    get exactly zero gradient. ``negate`` flips one analytic group's sign,
-    a hook for proving the detector catches wrong gradients.
+    get exactly zero gradient.
     """
     dim, n, hidden = CLF_DIM, CLF_N, CLF_HIDDEN
     rng = np.random.default_rng(seed)
@@ -88,42 +100,24 @@ def classifier_check(seed: int, negate: str | None = None) -> dict[str, float]:
         w2=rng.normal(scale=1.0 / np.sqrt(hidden), size=(1, hidden)),
         b2=float(rng.normal(scale=0.1)),
     )
-    worst = {name: 0.0 for name in CLASSIFIER_GROUPS}
+    errors = []  # one dict per label
     for label in (1, 0):
         index = quantize(rng.normal(size=dim), codebook)
         _, cache = forward_classify(index, codebook, hints, clf)
         grads = backward(cache, clf, label)
         hint_grad = np.zeros((n, dim))
         hint_grad[index] = grads.hint
-        analytic = {
-            "w1": grads.w1,
-            "b1": grads.b1,
-            "w2": grads.w2,
-            "b2": np.asarray(grads.b2),
-            "hints": hint_grad,
-        }
 
         def loss(clf2=clf, hints2=hints):
-            logit, _ = forward_classify(index, codebook, hints2, clf2)
-            return bce_loss(logit, label)
+            return bce_loss(forward_classify(index, codebook, hints2, clf2)[0], label)
 
-        numeric = {
-            name: central_difference(
-                lambda x, _name=name: loss(clf2=dataclasses.replace(clf, **{_name: x})),
-                np.array(getattr(clf, name)),
-            )
-            for name in ("w1", "b1", "w2", "b2")
-        }
-        numeric["hints"] = central_difference(
-            lambda x: loss(hints2=dataclasses.replace(hints, hints=x)), hints.hints.copy()
-        )
-        for name in CLASSIFIER_GROUPS:
-            a = -analytic[name] if negate == name else analytic[name]
-            worst[name] = max(worst[name], relative_error(a, numeric[name]))
-    return worst
+        analytic = {name: getattr(grads, name) for name in ("w1", "b1", "w2", "b2")}
+        errors.append(_group_errors(loss, clf, analytic)
+                      | _group_errors(lambda hints2: loss(hints2=hints2), hints, {"hints": hint_grad}))
+    return {name: max(e[name] for e in errors) for name in CLASSIFIER_GROUPS}
 
 
-def attention_check(seed: int, negate: str | None = None) -> dict[str, float]:
+def attention_check(seed: int) -> dict[str, float]:
     """Max relative error per parameter group of the attention backward."""
     m, h, w, c = ATTN_M, ATTN_H, ATTN_W, ATTN_C
     n, d, d_m, heads = ATTN_N, ATTN_D, ATTN_D_M, ATTN_HEADS
@@ -138,12 +132,4 @@ def attention_check(seed: int, negate: str | None = None) -> dict[str, float]:
         out, _ = cross_attend(batch, bank, params2)
         return float(np.sum(upstream * out.blocks))
 
-    results = {}
-    for name in ATTENTION_GROUPS:
-        def fn(x, _name=name):
-            return value(dataclasses.replace(params, **{_name: x}))
-
-        numeric = central_difference(fn, getattr(params, name).copy())
-        analytic = getattr(grads, name)
-        results[name] = relative_error(-analytic if negate == name else analytic, numeric)
-    return results
+    return _group_errors(value, params, {name: getattr(grads, name) for name in ATTENTION_GROUPS})

@@ -1,11 +1,12 @@
 """Shared builders and references for the test suite."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from pedbank import attention, jsonio
+from pedbank import attention, gradcheck, jsonio
 from pedbank.bank import KnowledgeBank
 from pedbank.embeddings import PEDESTRIAN, EmbeddingDataset
 from pedbank.errors import PedbankError
@@ -29,6 +30,23 @@ def pool_every_array(monkeypatch):
     monkeypatch.setattr(jsonio, "CHUNK_VALUES", 5)
     monkeypatch.setattr(jsonio, "TEXT_BYTES_PER_VALUE", 1)
     monkeypatch.setattr(jsonio, "_cpus", lambda: 2)
+
+
+def negated_gradients(group):
+    """``(name, function)``: the backward pass of ``pedbank.gradcheck`` that
+    computes ``group`` and a stand-in that gives that group alone the wrong
+    sign, to be set with ``setattr(gradcheck, name, function)``.
+    ``ClassifierGrads.w1`` is ``outer(b1, x)``, so ``w1`` is negated through
+    ``x``, and ``b1`` together with ``x``, which leaves ``w1`` as it was."""
+    fields = {"w1": ("x",), "b1": ("b1", "x"), "hints": ("hint",)}.get(group, (group,))
+    name = "backward" if group in gradcheck.CLASSIFIER_GROUPS else "attention_gradients"
+    gradients = getattr(gradcheck, name)
+
+    def negated(*args):
+        grads = gradients(*args)
+        return dataclasses.replace(grads, **{f: -getattr(grads, f) for f in fields})
+
+    return name, negated
 
 
 def outcome(read, path):

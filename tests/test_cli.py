@@ -34,7 +34,7 @@ from pedbank.errors import DimensionError, NumericalError, ParseError, PedbankEr
 from pedbank.hints import TrainConfig, forward_classify, init_hints, train_hints
 from pedbank.quantizer import Codebook, KMeansConfig, assignment_report, kmeans_with_objectives, quantize
 
-from support import random_bank
+from support import negated_gradients, random_bank
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -477,9 +477,30 @@ class TestGradcheck:
         assert "gradcheck: OK" in out
         assert "classifier w1:" in out and "attention w_o:" in out
 
-    def test_injected_sign_error_fails(self, capsys):
-        assert run("gradcheck", "--seed", 2, "--inject-sign-error") == EXIT_THRESHOLD
+    def test_a_wrong_sign_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(gradcheck, *negated_gradients("w_q"))
+        assert run("gradcheck", "--seed", 2) == EXIT_THRESHOLD
         assert "gradcheck: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("group", gradcheck.CLASSIFIER_GROUPS + gradcheck.ATTENTION_GROUPS)
+    def test_a_negated_group_is_the_only_one_that_reaches_the_tolerance(self, monkeypatch, group):
+        monkeypatch.setattr(gradcheck, *negated_gradients(group))
+        check = (gradcheck.classifier_check if group in gradcheck.CLASSIFIER_GROUPS
+                 else gradcheck.attention_check)
+        for seed in range(4):
+            errors = check(seed=seed)
+            assert [g for g, err in errors.items() if err >= gradcheck.DEFAULT_TOLERANCE] == [group], errors
+
+    def test_inject_sign_error_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--inject-sign-error"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --inject-sign-error" in capsys.readouterr().err
+
+    def test_a_positive_finite_tolerance_is_used(self, capsys):
+        assert run("gradcheck", "--tolerance", "1e-3") == EXIT_OK
+        out = capsys.readouterr().out
+        assert "(tolerance 0.001)" in out and "gradcheck: OK" in out
 
     def test_relative_error_of_other_shapes_raises_and_of_no_values_is_0(self):
         with pytest.raises(PreconditionError, match=r"gradient shapes differ: \(2,\) vs \(3,\)"):

@@ -115,6 +115,12 @@ class TestParse:
         raw = parse_embedding_file(path)
         assert not math.isclose(float(np.linalg.norm(raw.vectors[0])), 1.0)
 
+    def test_normalize_scales_vectors_whose_norm_over_or_underflows(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        write_lines(path, [record("a", [1e200, 1e200]), record("b", [1e-200, 3e-200], "background")])
+        ds = parse_embedding_file(path, normalize=True)
+        np.testing.assert_allclose(ds.vectors, [[0.5 ** 0.5] * 2, [0.1 ** 0.5, 0.9 ** 0.5]], rtol=1e-15)
+
 
 @pytest.mark.usefixtures("pooled")
 class TestParsePooled(TestParse):
@@ -223,6 +229,14 @@ class TestL2Normalize:
     def test_unit_vector_unchanged(self):
         v = np.array([0.0, 1.0, 0.0])
         np.testing.assert_array_equal(l2_normalize(v), v)
+
+    @pytest.mark.parametrize("v, unit", [
+        ([1e200, 1e200], [0.5 ** 0.5] * 2),  # the norm overflows
+        ([1e-200, 3e-200], [0.1 ** 0.5, 0.9 ** 0.5]),  # the squares underflow
+        ([5e-324, 0.0], [1.0, 0.0]),  # the smallest subnormal
+    ], ids=["overflow", "underflow", "subnormal"])
+    def test_norm_out_of_range_still_gives_unit_length(self, v, unit):
+        np.testing.assert_allclose(l2_normalize(v), unit, rtol=1e-15)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(PreconditionError, match="zero"):

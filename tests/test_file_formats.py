@@ -88,6 +88,7 @@ MALFORMED = [
     ("bank", ("version",), True),
     ("bank", ("f_h", 0, 0), float("nan")),
     ("bank", ("meta",), {"source": 1}),
+    ("bank", ("meta",), ["a"]),
     ("params", ("version",), True),
     ("params", ("heads",), 2.7),
     ("params", ("heads",), "2"),
