@@ -37,10 +37,11 @@ MODES = (PROPOSAL, QUERY)
 
 ATTENTION_PARAMS_VERSION = 1
 _PARAM_ARRAYS = ("w_q", "w_k", "w_v", "w_o", "gain", "bias")
-# The longest inner dimension the value product ``assoc @ b`` sums in one
-# BLAS call; longer ones are cut into nearly equal blocks added in a fixed
-# order. On OpenBLAS 0.3.31 (Haswell kernels, two CPUs) only products with
-# an inner dimension above 256 changed bits with the thread count.
+# The longest inner dimension summed in one BLAS call, by the value product
+# over the bank entries and by the row blocks over which attention runs and
+# ``attention_gradients`` sums; longer ones are cut into nearly equal blocks
+# added in a fixed order. On OpenBLAS 0.3.31 on two CPUs (Haswell, now SkylakeX
+# kernels) products summing over more than 256 changed bits with the thread count.
 INNER_MAX = 256
 
 
@@ -198,9 +199,10 @@ def layer_norm(rows, gain, bias, eps: float = 1e-5) -> np.ndarray:
     return _layer_norm(x, gain, bias, eps)
 
 
-def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> np.ndarray:
-    """``layer_norm`` unchecked: float64 rows, and gain, bias and eps from ``AttentionParams``."""
-    out = x - x.sum(axis=-1, keepdims=True) / x.shape[-1]  # the bits of x.mean
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float, out=None) -> np.ndarray:
+    """``layer_norm`` unchecked, of float64 rows, with ``AttentionParams``' affine; into ``out`` if given."""
+    mean = x.sum(axis=-1, keepdims=True) / x.shape[-1]  # the bits of x.mean
+    out = x - mean if out is None else np.subtract(x, mean, out=out)  # "-" beats out=None per call
     var = (out * out).sum(axis=-1, keepdims=True) / x.shape[-1]  # the bits of x.var
     if eps == 0 and np.any(var == 0):
         raise NumericalError("layer norm: a row has zero variance and eps is 0")
@@ -231,12 +233,14 @@ def _project(bank: KnowledgeBank, params: AttentionParams):
     return projection
 
 
-def _forward_parts(batch: FeatureBatch, bank: KnowledgeBank, params: AttentionParams):
-    """The rows ``x`` ``(M, c)``, the association ``(M, heads*n)`` and the
-    pre-norm sums ``(M, c)``, with every row of every block as one row.
-    The value product sums over the ``heads*n`` bank entries in consecutive
-    blocks of at most ``INNER_MAX``, added in order, so that its bits do not
-    depend on the BLAS thread count."""
+def _row_blocks(batch: FeatureBatch, bank: KnowledgeBank, params: AttentionParams, assoc=None, pre=None):
+    """``(rows, x, assoc, pre)`` for each slice ``rows`` of ``_inner_blocks(M)``,
+    in order: the rows ``x`` of the batch, their association ``(len, heads*n)``
+    and pre-norm sums ``(len, c)``, into ``assoc[rows]`` and ``pre[rows]`` if
+    given. The value product sums over the ``heads*n`` bank entries in blocks
+    of at most ``INNER_MAX``, added in order, so its bits do not depend on the
+    BLAS thread count. Non-finite scores raise at once, non-finite sums after
+    the last block, with no block yielded from the first that has them."""
     c = batch.blocks.shape[-1]
     if params.c != c:
         raise DimensionError(f"attention expects {params.c} channels, batch has {c}")
@@ -244,21 +248,29 @@ def _forward_parts(batch: FeatureBatch, bank: KnowledgeBank, params: AttentionPa
         raise DimensionError(f"attention expects bank dimension {params.d}, bank has {bank.dim}")
     x = batch.blocks.reshape(-1, c)
     _, _, a, b = _project(bank, params)
-    assoc = x @ a  # scores, made the association in place
-    if not np.isfinite(assoc).all():
-        raise NumericalError("non-finite attention scores")
-    scores = assoc.reshape(len(x), params.heads, -1)  # row softmax over the bank, per head
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
     first, *rest = _inner_blocks(len(b))
-    pre = assoc[:, first] @ b[first]
-    for block in rest:
-        pre += assoc[:, block] @ b[block]
-    pre += x
-    if not np.isfinite(pre).all():
+    failed = False
+    for rows in _inner_blocks(len(x)):
+        x_rows = x[rows]
+        scores = x_rows @ a if assoc is None else np.matmul(x_rows, a, out=assoc[rows])
+        if not np.isfinite(scores).all():
+            raise NumericalError("non-finite attention scores")
+        if failed:  # only a score error still takes precedence
+            continue
+        per_head = scores.reshape(len(scores), params.heads, -1)  # row softmax over the bank
+        per_head -= per_head.max(axis=-1, keepdims=True)
+        np.exp(per_head, out=per_head)
+        per_head /= per_head.sum(axis=-1, keepdims=True)
+        sums = (scores[:, first] @ b[first] if pre is None
+                else np.matmul(scores[:, first], b[first], out=pre[rows]))
+        for block in rest:
+            sums += scores[:, block] @ b[block]
+        sums += x_rows
+        failed = not np.isfinite(sums).all()
+        if not failed:
+            yield rows, x_rows, scores, sums
+    if failed:
         raise NumericalError("non-finite pre-normalization features")
-    return x, assoc, pre
 
 
 @functools.cache
@@ -275,23 +287,33 @@ def cross_attend(
 
     Output blocks keep the input shape; proposal blocks of size 1x1 go
     through exactly the same arithmetic as query blocks. Its checks are the
-    batch's array rule and a ``NumericalError`` naming the step for any
-    non-finite score, pre-norm sum or output. Returns the complemented batch
-    and a trace of the per-head association matrices, the pre-norm sums and
-    the output rows, built without their constructors' checks, which cannot fail here.
+    batch's array rule and a ``NumericalError`` naming the first step with a
+    non-finite value in any row: score, pre-norm sum, output. Returns the
+    complemented batch and a trace of the per-head association matrices, the
+    pre-norm sums and the output rows, each row block (``_row_blocks``) written
+    into them, built without their constructors' checks, which cannot fail here.
     """
-    _, assoc, pre = _forward_parts(batch, bank, params)
     m, c = batch.blocks.shape[0], batch.blocks.shape[-1]
+    rows = batch.blocks.size // c
+    assoc = pre = out_rows = None  # one block's own arrays become the trace's
+    if rows > INNER_MAX:  # more than one row block
+        assoc, pre, out_rows = (np.empty((rows, k)) for k in (params.heads * bank.n, c, c))
+    failed = False
+    for block, _, scores, sums in _row_blocks(batch, bank, params, assoc, pre):
+        normed = _layer_norm(sums, params.gain, params.bias, params.eps,
+                             None if out_rows is None else out_rows[block])
+        failed = failed or not np.isfinite(normed).all()  # a row sum can overflow on finite features
     if c < 2:  # the one check of layer_norm's that AttentionParams does not make
         raise PreconditionError("layer norm needs at least 2 channels")
-    pre = pre.reshape(m, -1, c)
-    out_rows = _layer_norm(pre, params.gain, params.bias, params.eps)
-    if not np.isfinite(out_rows).all():  # a row sum can overflow on finite features
+    if failed:
         raise NumericalError("non-finite layer-norm output")
+    if out_rows is None:
+        assoc, pre, out_rows = scores, sums, normed
     out, trace = object.__new__(FeatureBatch), object.__new__(AttentionTrace)
     vars(out).update(mode=batch.mode, blocks=out_rows.reshape(batch.blocks.shape))
     assoc = assoc.reshape(m, -1, params.heads, bank.n).transpose(0, 2, 1, 3)
-    vars(trace).update(assoc=assoc, pre_norm=pre, output=out_rows)  # softmax rows sum to 1
+    vars(trace).update(assoc=assoc, pre_norm=pre.reshape(m, -1, c),  # softmax rows sum to 1
+                       output=out_rows.reshape(m, -1, c))
     return out, trace
 
 
@@ -304,38 +326,42 @@ def attention_gradients(
     cover every projection matrix and the layer-norm affine; they are exact
     and are checked against central finite differences in the test suite.
 
-    Working memory, for M rows over all blocks: at most the association and
-    three ``(M, c)`` arrays at once, or three ``(M, heads*n)`` arrays in the
-    softmax backward (46 MiB at the paper's sizes, 100 blocks of 7x7x256).
+    The forward is recomputed one row block (``_row_blocks``) at a time, and
+    the sums over rows are added in block order, so working memory is a few
+    arrays of one block's rows (10 MiB at the paper's sizes, 100 blocks of
+    7x7x256) and the bits do not depend on the BLAS thread count.
     """
     up = check_array("upstream", upstream, batch.blocks.shape)
-    x, assoc, xhat = _forward_parts(batch, bank, params)  # the pre-norm sums, standardized in place
-    k, v, _, b = _project(bank, params)
-    heads, n, c = params.heads, bank.n, xhat.shape[-1]
-
-    du = up.reshape(xhat.shape)  # may view the caller's upstream, so it is only read
-    xhat -= xhat.sum(axis=-1, keepdims=True) / c
-    rows = xhat * xhat  # the one scratch array of the four row products
-    inv = 1.0 / np.sqrt(rows.sum(axis=-1, keepdims=True) / c + params.eps)
-    xhat *= inv
-    d_bias = du.sum(axis=0)
-    d_gain = np.multiply(du, xhat, out=rows).sum(axis=0)
-    ds = du * params.gain  # dxhat, made ds in place once both its row sums are taken
-    proj = np.multiply(ds, xhat, out=rows).sum(axis=-1, keepdims=True) / c
-    ds -= ds.sum(axis=-1, keepdims=True) / c
-    ds -= np.multiply(xhat, proj, out=rows)
-    ds *= inv
-    del xhat, rows
-    # residual: ds is the cotangent of assoc @ b (the input branch needs no gradient)
-    d_b = (assoc.T @ ds).reshape(heads, n, -1)  # (heads, n, c)
-    d_assoc = ds @ b.T
-    del ds
-    # softmax backward per head, in place on d_assoc to spare two (M, heads*n) arrays
-    per_head = d_assoc.reshape(len(x), heads, n)
-    per_head -= (per_head * assoc.reshape(per_head.shape)).sum(axis=-1, keepdims=True)
-    d_assoc *= assoc
-    del assoc
-    d_a = (x.T @ d_assoc).reshape(-1, heads, n).transpose(1, 0, 2)  # (heads, c, n)
+    heads, n, c = params.heads, bank.n, batch.blocks.shape[-1]
+    up, totals = up.reshape(-1, c), None  # may view the caller's upstream, so it is only read
+    for block, x, assoc, xhat in _row_blocks(batch, bank, params):  # the pre-norm sums, standardized in place
+        du = up[block]
+        xhat -= xhat.sum(axis=-1, keepdims=True) / c
+        rows = xhat * xhat  # the one scratch array of the four row products
+        inv = 1.0 / np.sqrt(rows.sum(axis=-1, keepdims=True) / c + params.eps)
+        xhat *= inv
+        d_bias = du.sum(axis=0)
+        d_gain = np.multiply(du, xhat, out=rows).sum(axis=0)
+        ds = du * params.gain  # dxhat, made ds in place once both its row sums are taken
+        proj = np.multiply(ds, xhat, out=rows).sum(axis=-1, keepdims=True) / c
+        ds -= ds.sum(axis=-1, keepdims=True) / c
+        ds -= np.multiply(xhat, proj, out=rows)
+        ds *= inv
+        del rows
+        # residual: ds is the cotangent of assoc @ b (the input branch needs no gradient)
+        d_b = assoc.T @ ds  # (heads*n, c)
+        d_assoc = ds @ _project(bank, params)[3].T
+        del ds
+        # softmax backward per head, in place on d_assoc
+        per_head = d_assoc.reshape(len(x), heads, n)
+        per_head -= (per_head * assoc.reshape(per_head.shape)).sum(axis=-1, keepdims=True)
+        d_assoc *= assoc
+        parts = (d_b, x.T @ d_assoc, d_gain, d_bias)  # the first block's own arrays start the totals
+        totals = parts if totals is None else [np.add(t, p, out=t) for t, p in zip(totals, parts)]
+    d_b, d_a, d_gain, d_bias = totals
+    k, v, _, _ = _project(bank, params)
+    d_b = d_b.reshape(heads, n, -1)  # (heads, n, c)
+    d_a = d_a.reshape(-1, heads, n).transpose(1, 0, 2)  # (heads, c, n)
     d_a *= 1.0 / math.sqrt(params.d_model)
     d_wo = (v.transpose(0, 2, 1) @ d_b).reshape(params.w_o.shape)
     d_v = d_b @ params.w_o.reshape(heads, params.d_model, -1).transpose(0, 2, 1)

@@ -184,10 +184,10 @@ def cmd_gradcheck(args) -> int:
     worst = 0.0
     for group, err in clf_errors.items():
         print(f"classifier {group}: {err:.3e}")
-        worst = max(worst, err)
+        worst = np.maximum(worst, err)  # a NaN error stays NaN, and fails
     for group, err in attn_errors.items():
         print(f"attention {group}: {err:.3e}")
-        worst = max(worst, err)
+        worst = np.maximum(worst, err)
     print(f"max relative error: {worst:.3e} (tolerance {args.tolerance:g})")
     if worst < args.tolerance:
         print("gradcheck: OK")

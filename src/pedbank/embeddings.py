@@ -165,13 +165,13 @@ def split_by_label(dataset: EmbeddingDataset) -> tuple[EmbeddingDataset, Embeddi
 def l2_normalize(vector) -> np.ndarray:
     """Scale a vector to unit Euclidean norm; the direction is preserved.
 
-    A norm that under- or overflows is taken again after dividing by the
-    largest magnitude, so only an all-zero vector raises.
+    A norm that overflows, or whose square is subnormal or 0, is taken again
+    after dividing by the largest magnitude, so only an all-zero vector raises.
     """
     vec = np.asarray(vector, dtype=np.float64)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(vec))
-    if norm == 0.0 or norm == np.inf:
+    if norm < 2.0 ** -511 or norm == np.inf:  # 2**-511: the root of the least normal double
         if (scale := np.max(np.abs(vec), initial=0.0)) == 0.0:
             raise PreconditionError("cannot normalize a zero vector")
         vec = vec / scale

@@ -26,11 +26,11 @@ available to the process) and through one map, ``_pooled_map``, which forks
 its workers: they format the chunks of a large array, and they parse a
 JSON-lines file (``map_lines``) or the flat array of a document, which
 ``json`` itself finds (``read_document``), in the parts that ``_map_parts``
-cuts, which also holds the readers' fall-back. The bytes written, the
-arrays read and every error do not depend on which way ran. Each map's
-calls go only to its own workers, so readers and writers may run in
-several threads at once. Every writer of the package goes through
-``replacing``, so a failed write leaves an existing file as it was.
+cuts, each read from the descriptor the parent opened; ``_map_parts`` also
+holds the readers' fall-back. The bytes written, the arrays read and every
+error do not depend on which way ran. Each map's calls go only to its own
+workers, so readers and writers may run in several threads at once. Every
+writer goes through ``replacing``: a failed write leaves a file as it was.
 """
 
 from __future__ import annotations
@@ -88,14 +88,11 @@ _POW5 = 5 ** np.arange(21, dtype=np.int64)
 _POW2 = 2.0 ** np.arange(49)
 
 
-def read_lines(path, start: int = 0, stop: int | None = None):
+def read_lines(path, data: bytes | None = None):
     """Yield ``(lineno, line)``, numbered from 1, for every line of the UTF-8
-    text file ``path``, streamed, or with ``stop`` for every line in its bytes
-    ``start`` to ``stop``, read as text mode reads them."""
-    with open(path, "rb") as fh:
-        if stop is not None:
-            fh.seek(start)
-            fh = io.BytesIO(fh.read(stop - start))
+    text file ``path``, streamed, or of ``data``, bytes read from it, read as
+    text mode reads them."""
+    with open(path, "rb") if data is None else io.BytesIO(data) as fh:
         with io.TextIOWrapper(fh, encoding="utf-8") as text:
             try:
                 yield from enumerate(text, start=1)
@@ -104,9 +101,10 @@ def read_lines(path, start: int = 0, stop: int | None = None):
 
 
 def map_lines(path, function, *args) -> list | None:
-    """``function(read_lines(path, start, stop), *args)`` for each range of
-    ``path`` cut at line breaks, in order, through ``_map_parts``, in forked
-    processes that read their ranges themselves.
+    """``function(read_lines(path, data), *args)`` for the bytes ``data`` of
+    each range of ``path`` cut at line breaks, in order, through
+    ``_map_parts``, in forked processes that read their ranges from the
+    descriptor this process opened, so all come from the same file.
 
     ``None`` when ``path`` is not a regular file (a pipe is read once, in
     order) and wherever ``_map_parts`` gives ``None``: the caller then reads
@@ -115,29 +113,27 @@ def map_lines(path, function, *args) -> list | None:
     if not os.path.isfile(path):
         return None
     with open(path, "rb") as fh:  # a cut at byte ``at`` ends the line that holds it
-        return _map_parts(lambda a, b: function(read_lines(path, a, b), *args), 0,
-                          os.path.getsize(path), lambda at: fh.seek(at) + len(fh.readline()))
+        fd = fh.fileno()
+        return _map_parts(lambda a, b: function(read_lines(path, os.pread(fd, b - a, a)), *args), 0,
+                          os.fstat(fd).st_size, lambda at: fh.seek(at) + len(fh.readline()))
 
 
 def read_document(path, keys, flat=None) -> dict:
     """Load a JSON object from ``path`` that holds at least ``keys``.
 
     Where the object's ``flat`` key holds a flat array, its items are cut at
-    commas and parsed through ``_map_parts``, and come back as a float64
-    array that has passed ``read_array``'s number and finiteness rules.
-    Every other layout, and wherever ``_map_parts`` gives ``None``, is
+    commas and parsed through ``_map_parts`` (``_parse_flat``), and come back
+    as a float64 array that has passed ``read_array``'s number and finiteness
+    rules. Every other layout, and wherever ``_map_parts`` gives ``None``, is
     parsed by ``json`` in this process, so the values and every error are
     the same.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
+    with open(path, "rb") as fh:
+        doc = _parse_flat(fh.fileno(), flat) if flat is not None else None
+        try:  # not decoded in text mode: JSON takes a "\r" as it takes a "\n"
+            doc = json.loads(fh.read().decode("utf-8")) if doc is None else doc
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    doc = _parse_flat(text, flat) if flat is not None else None
-    if doc is None:
-        try:
-            doc = json.loads(text)
         except ValueError as exc:  # also an integer longer than int() takes
             raise ParseError(f"{path}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(doc, dict):
@@ -567,7 +563,7 @@ def _run_call(index: int):
 def _map_parts(work, start: int, stop: int, cut) -> list | None:
     """``work(a, b)`` for each part ``[a, b)`` of ``[start, stop)``, in
     order, through ``_pooled_map``: the size rule and the fall-back of both
-    readers. ``[start, stop)`` is text, in bytes or characters, counted as
+    readers. ``[start, stop)`` is bytes of a file's text, counted as
     ``TEXT_BYTES_PER_VALUE`` per value; each part holds about
     ``CHUNK_VALUES`` values and ends at ``cut(offset)``, just after the
     first separator from ``offset`` on, or at ``stop``.
@@ -587,38 +583,56 @@ def _map_parts(work, start: int, stop: int, cut) -> list | None:
         return None
 
 
-def _parse_flat(text: str, key: str) -> dict | None:
-    """``json.loads(text)`` with ``key``'s flat array parsed through
-    ``_map_parts`` into a float64 array, or ``None``. ``json`` reads the text
-    with ``NaN`` from the first ``"key": [`` to the first ``]``, and only a
-    ``dict`` whose ``key`` holds that ``NaN``, the one constant, passes. The
-    cut is then the array: the ``[`` lies outside strings, as a bare word is
-    not JSON; a ``]`` in a string leaves text lexed with strings and structure
-    swapped, which meets a ``\\`` outside a string or ends inside one; one
-    closing a nested array leaves an unmatched ``]``."""
-    found = re.search(r'"%s"[ \t\n\r]*:[ \t\n\r]*\[' % re.escape(key), text)
-    stop = text.find("]", found.end()) + 1 if found else 0
+def _parse_flat(fd: int, key: str) -> dict | None:
+    """``json.loads`` of the file open at ``fd`` with ``key``'s flat array
+    parsed through ``_map_parts`` into a float64 array, or ``None``. This
+    process keeps the text only of the head, up to the first ``"key": [``,
+    and of the tail, from the first ``]`` on, and ``json`` reads them with
+    ``NaN`` between; only a ``dict`` whose ``key`` holds that ``NaN``, the
+    one constant, passes. The cut is then the array: the ``[`` lies outside
+    strings, as a bare word is not JSON; a ``]`` in a string leaves text lexed
+    with strings and structure swapped, which meets a ``\\`` outside a string
+    or ends inside one; one closing a nested array leaves an unmatched ``]``."""
+    size = os.fstat(fd).st_size
+    if _workers(size // TEXT_BYTES_PER_VALUE, _cpus()) < 2:  # read in one piece
+        return None
+    pattern = re.compile(rb'"%s"[ \t\n\r]*:[ \t\n\r]*\[' % re.escape(key.encode()))
+    head = b""  # read in windows that double
+    while not (found := pattern.search(head)) and (
+            more := os.pread(fd, max(TEXT_BYTES_PER_VALUE, len(head)), len(head))):
+        head += more
+    start = found.end() if found else size
+    stop = _find(fd, b"]", start, size, CHUNK_VALUES * TEXT_BYTES_PER_VALUE) + 1
     if not stop:
         return None
-    start, constants = found.end(), []
+    constants = []
     try:
-        doc = json.loads(text[:start - 1] + "NaN" + text[stop:],
+        doc = json.loads((head[:start - 1] + b"NaN" + os.pread(fd, size - stop, stop)).decode("utf-8"),
                          parse_constant=lambda name: constants.append(name) or constants)
-    except ValueError:  # invalid JSON, or an integer longer than int() takes
+    except ValueError:  # not UTF-8, invalid JSON, or an integer longer than int() takes
         return None
     if type(doc) is not dict or doc.get(key) is not constants or len(constants) != 1:
         return None
-    parts = _map_parts(functools.partial(_parse_slice, text), start, stop,
-                       lambda at: text.find(",", at, stop) + 1 or stop)
+    parts = _map_parts(functools.partial(_parse_slice, fd), start, stop,
+                       lambda at: _find(fd, b",", at, stop, TEXT_BYTES_PER_VALUE) + 1 or stop)
     if parts is None:
         return None
     doc[key] = np.frombuffer(bytearray().join(parts))
     return doc
 
 
-def _parse_slice(text: str, start: int, stop: int) -> bytes:
+def _find(fd: int, byte: bytes, at: int, stop: int, width: int) -> int:
+    """The offset of the first ``byte`` from ``at`` to ``stop`` of ``fd``, or -1."""
+    while at < stop and (window := os.pread(fd, min(width, stop - at), at)):
+        if (found := window.find(byte)) >= 0:
+            return at + found
+        at += len(window)
+    return -1
+
+
+def _parse_slice(fd: int, start: int, stop: int) -> bytes:
     """One part of ``_parse_flat``: the float64 bytes of the comma-separated
-    items in ``text[start:stop]``, checked by ``read_array``; the part's
-    last character, a comma or the closing ``]``, is dropped."""
-    items = json.loads("[" + text[start:stop - 1] + "]")
+    items in bytes ``start`` to ``stop`` of ``fd``, checked by ``read_array``;
+    the part's last byte, a comma or the closing ``]``, is dropped."""
+    items = json.loads("[" + os.pread(fd, stop - start - 1, start).decode("utf-8") + "]")
     return read_array({"items": items}, "items", "", (None,)).tobytes()

@@ -1,7 +1,10 @@
 """Shared builders and references for the test suite."""
 
+import ctypes
 import dataclasses
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,30 +162,54 @@ def einsum_attention(batch, bank, params, upstream):
     return blocks, assoc, grads
 
 
+def blas_config() -> str:
+    """The config string of NumPy's bundled OpenBLAS, which names the kernels
+    it dispatched, or what NumPy was built with."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in libs.glob("*openblas*.so*"):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_config", "openblas_get_config"):
+            if (config := getattr(lib, name, None)) is not None:
+                config.restype = ctypes.c_char_p
+                return config().decode()
+    return str(np.show_config(mode="dicts")["Build Dependencies"]["blas"])
+
+
 def reference_attention_gradients(batch, bank, params, upstream):
     """``attention.attention_gradients`` step by step, each step into a new
     array: the same operations on the same operands in the same order, so
-    the in-place version must give these bits. Keyed by parameter name."""
-    x, assoc, pre = attention._forward_parts(batch, bank, params)
+    the in-place version must give these bits. The forward comes from the
+    trace of ``cross_attend``; the backward runs over the row blocks of
+    ``attention._inner_blocks``, and the products and sums over rows are
+    taken per block and added in block order. Keyed by parameter name."""
+    _, trace = attention.cross_attend(batch, bank, params)
     k, v, _, b = attention._project(bank, params)
-    heads, n = params.heads, bank.n
-
-    du = np.asarray(upstream, dtype=np.float64).reshape(pre.shape)
-    xhat = pre - pre.sum(axis=-1, keepdims=True) / pre.shape[-1]
-    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / pre.shape[-1] + params.eps)
-    xhat *= inv
-    d_bias = du.sum(axis=0)
-    d_gain = (du * xhat).sum(axis=0)
-    dxhat = du * params.gain
-    ds = dxhat - dxhat.sum(axis=-1, keepdims=True) / pre.shape[-1]
-    ds -= xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / pre.shape[-1])
-    ds *= inv
-    d_b = (assoc.T @ ds).reshape(heads, n, -1)
-    d_assoc = ds @ b.T
-    per_head = d_assoc.reshape(len(x), heads, n)
-    per_head -= (per_head * assoc.reshape(per_head.shape)).sum(axis=-1, keepdims=True)
-    d_assoc *= assoc
-    d_a = (x.T @ d_assoc).reshape(-1, heads, n).transpose(1, 0, 2)
+    heads, n, c = params.heads, bank.n, batch.c
+    x_all = batch.blocks.reshape(-1, c)
+    assoc_all = trace.assoc.transpose(0, 2, 1, 3).reshape(len(x_all), heads * n)
+    pre_all = trace.pre_norm.reshape(len(x_all), c)
+    du_all = np.asarray(upstream, dtype=np.float64).reshape(len(x_all), c)
+    blocks = []
+    for rows in attention._inner_blocks(len(x_all)):
+        x, assoc, pre, du = x_all[rows], assoc_all[rows], pre_all[rows], du_all[rows]
+        xhat = pre - pre.sum(axis=-1, keepdims=True) / c
+        inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / c + params.eps)
+        xhat *= inv
+        d_bias = du.sum(axis=0)
+        d_gain = (du * xhat).sum(axis=0)
+        dxhat = du * params.gain
+        ds = dxhat - dxhat.sum(axis=-1, keepdims=True) / c
+        ds -= xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / c)
+        ds *= inv
+        d_b = assoc.T @ ds
+        d_assoc = ds @ b.T
+        per_head = d_assoc.reshape(len(x), heads, n)
+        per_head -= (per_head * assoc.reshape(per_head.shape)).sum(axis=-1, keepdims=True)
+        d_assoc *= assoc
+        blocks.append((d_b, x.T @ d_assoc, d_gain, d_bias))
+    d_b, d_a, d_gain, d_bias = (functools.reduce(np.add, sums) for sums in zip(*blocks))
+    d_b = d_b.reshape(heads, n, -1)
+    d_a = d_a.reshape(-1, heads, n).transpose(1, 0, 2)
     d_a *= 1.0 / math.sqrt(params.d_model)
     d_wo = (v.transpose(0, 2, 1) @ d_b).reshape(params.w_o.shape)
     d_v = d_b @ params.w_o.reshape(heads, params.d_model, -1).transpose(0, 2, 1)
@@ -193,5 +220,5 @@ def reference_attention_gradients(batch, bank, params, upstream):
     return {"w_q": d_wq, "w_k": d_wk, "w_v": d_wv, "w_o": d_wo, "gain": d_gain, "bias": d_bias}
 
 
-__all__ = ["make_dataset", "random_bank", "einsum_attention", "reference_attention_gradients",
+__all__ = ["make_dataset", "random_bank", "einsum_attention", "reference_attention_gradients", "blas_config",
            "hard_doubles", "first_float_text_mismatch", "PEDESTRIAN"]

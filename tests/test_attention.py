@@ -1,18 +1,21 @@
 import gc
 import json
 import math
+import os
 import pickle
+import subprocess
 import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pedbank import attention, jsonio
+from pedbank import attention, gradcheck, jsonio
 from pedbank.attention import (
     ATTENTION_PARAMS_VERSION,
     AttentionParams,
@@ -31,7 +34,7 @@ from pedbank.bank import KnowledgeBank
 from pedbank.errors import DimensionError, NumericalError, ParseError, PreconditionError
 from pedbank.gradcheck import attention_check
 
-from support import einsum_attention, random_bank, read_both_ways, reference_attention_gradients
+from support import blas_config, einsum_attention, random_bank, read_both_ways, reference_attention_gradients
 
 
 def small_setup(seed=3, m=3, h=2, w=2, c=8, n=4, d=8, d_m=4, heads=2):
@@ -626,9 +629,10 @@ class TestGradientsInPlace:
             got = getattr(grads, name)
             assert got.shape == expect.shape and got.tobytes() == expect.tobytes(), name
 
-    def test_peak_memory_is_about_three_associations(self):
-        # a backward that keeps its dead arrays holds 3 (M, heads*n) and 4 (M, c) arrays at once
-        batch, bank, params = small_setup(seed=52, m=8, h=7, w=7, c=32, n=25, d=16, d_m=8, heads=4)
+    def test_peak_memory_is_a_few_row_blocks(self):
+        # 20 blocks of 7x7 are 980 rows, four row blocks of 245; one more array of all
+        # M rows, even of c columns, crosses the bound
+        batch, bank, params = small_setup(seed=52, m=20, h=7, w=7, c=32, n=25, d=16, d_m=8, heads=4)
         upstream = np.random.default_rng(53).normal(size=batch.blocks.shape)
         attention_gradients(batch, bank, params, upstream)  # the bank fold is built outside the trace
         tracemalloc.start()
@@ -637,9 +641,97 @@ class TestGradientsInPlace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        rows = batch.blocks.size * 8
-        assoc = rows // batch.c * params.heads * bank.n
-        assert peak <= 3 * assoc + 2 * rows, (peak / assoc, peak / rows)
+        block = max(s.stop - s.start for s in attention._inner_blocks(batch.blocks.size // batch.c)) * 8
+        assoc, rows = block * params.heads * bank.n, block * batch.c
+        assert peak <= 4 * assoc + 4 * rows, (peak / assoc, peak / rows)
+
+
+_GRADIENT_DIGESTS = """
+import hashlib, numpy as np
+from pedbank import FeatureBatch, attention_gradients, init_attention
+from support import random_bank
+rng = np.random.default_rng(0)
+batch = FeatureBatch("proposal", rng.normal(size=(12, 7, 7, 256)))
+params = init_attention(c=256, d=512, d_m=64, heads=8, seed=0)
+grads = attention_gradients(batch, random_bank(1, 50, 512), params, rng.normal(size=batch.blocks.shape))
+print(*(hashlib.sha256(getattr(grads, name).tobytes()).hexdigest()[:16] for name in vars(grads)))
+"""
+
+# one head of width 1 over two unit codewords, so every score is x0 + x1 and the
+# value product adds 1e308 to both channels; each row fails at the step it names
+_FAILING_ROWS = {"fine": [-5e307, -5e307], "attention scores": [1e308, 1e308],
+                 "pre-normalization features": [1e308, -1e308], "layer-norm output": [7e307, 7e307]}
+
+
+class TestRowBlocks:
+    """Attention runs over the row blocks of ``_inner_blocks(M)``: sums over
+    rows in a fixed order, errors that do not depend on the block."""
+
+    def test_inner_blocks_cut_only_above_inner_max(self):
+        assert attention._inner_blocks(256) == (slice(0, 256),)
+        assert attention._inner_blocks(257) == (slice(0, 128), slice(128, 257))
+        assert attention._inner_blocks(512) == (slice(0, 256), slice(256, 512))
+
+    def test_a_central_difference_along_a_random_direction_over_two_row_blocks(self):
+        # 3 blocks of 10x10 are 300 rows and 6 heads over 50 entries 300 columns: the sums
+        # over rows and the value product each span two blocks of _inner_blocks
+        batch, bank, params = small_setup(seed=60, m=3, h=10, w=10, c=12, n=50, d=16, d_m=4, heads=6)
+        rng = np.random.default_rng(61)
+        upstream = rng.normal(size=batch.blocks.shape)
+        grads = attention_gradients(batch, bank, params, upstream)
+
+        def value(name, arr):
+            out, _ = cross_attend(batch, bank, replace(params, **{name: arr}))
+            return float(np.sum(upstream * out.blocks))
+
+        step = gradcheck.DEFAULT_STEP
+        for name in gradcheck.ATTENTION_GROUPS:
+            direction = rng.normal(size=getattr(params, name).shape)
+            direction /= np.linalg.norm(direction)
+            at = getattr(params, name)
+            numeric = (value(name, at + step * direction) - value(name, at - step * direction)) / (2 * step)
+            analytic = float(np.sum(getattr(grads, name) * direction))
+            assert gradcheck.relative_error(analytic, numeric) <= gradcheck.DEFAULT_TOLERANCE, name
+
+    def test_gradient_bits_do_not_depend_on_the_blas_thread_count(self):
+        # 588 rows: each sum over rows adds three row blocks, not one product whose
+        # grouping a multithreaded BLAS may choose by the thread count
+        tests, src = Path(__file__).resolve().parent, Path(attention.__file__).resolve().parent.parent
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [str(src), str(tests), os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", _GRADIENT_DIGESTS], capture_output=True,
+                                  text=True, env=env, timeout=300)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1], f"gradients differ on one and two threads of {blas_config()}"
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("first, second", [
+        ("pre-normalization features", "attention scores"),
+        ("attention scores", "layer-norm output"),
+        ("layer-norm output", "pre-normalization features"),
+        ("pre-normalization features", "layer-norm output"),
+    ])
+    def test_the_first_step_that_fails_is_named_whichever_block_holds_it(self, first, second):
+        rows = np.array([_FAILING_ROWS["fine"]] * 300)
+        rows[10], rows[290] = _FAILING_ROWS[first], _FAILING_ROWS[second]
+        assert attention._inner_blocks(300) == (slice(0, 150), slice(150, 300))
+        bank = KnowledgeBank(f_q=np.eye(2), f_h=np.zeros((2, 2)))
+        params = AttentionParams(
+            heads=1, d_model=1, w_q=np.ones((1, 2, 1)), w_k=np.ones((1, 2, 1)), w_v=np.ones((1, 2, 1)),
+            w_o=np.full((1, 2), 1e308), gain=np.ones(2), bias=np.zeros(2),
+        )
+        batch = FeatureBatch(mode="query", blocks=rows.reshape(300, 1, 2))
+        steps = list(_FAILING_ROWS)
+        step = min(first, second, key=steps.index)
+        with pytest.raises(NumericalError, match=f"^non-finite {step}$"):
+            cross_attend(batch, bank, params)
+        if step != "layer-norm output":  # the backward does not compute the output
+            with pytest.raises(NumericalError, match=f"^non-finite {step}$"):
+                attention_gradients(batch, bank, params, np.ones(batch.blocks.shape))
 
 
 def relative_error(got, want):
@@ -813,6 +905,24 @@ def test_pooled_and_in_process_loads_agree(tmp_path, monkeypatch, name):
     in_process, pooled = read_both_ways(load_feature_batch, path)
     assert pooled == in_process
     assert (docs[-1] is not None) == name.startswith("split")
+
+
+def test_a_pooled_load_keeps_no_copy_of_the_text(tmp_path, monkeypatch):
+    # the text is about 2.7 times the array; this process holds the parsed parts and the array
+    # they are joined into, and of the text only the head, the tail and one window at a time
+    monkeypatch.setattr(jsonio, "POOL_MIN_VALUES", 1)
+    monkeypatch.setattr(jsonio, "_cpus", lambda: 2)
+    path = tmp_path / "batch.json"
+    blocks = np.random.default_rng(70).normal(size=(1000, 1, 1, 256))
+    save_feature_batch(FeatureBatch("proposal", blocks), path)
+    load_feature_batch(path)  # the pool's modules are imported outside the trace
+    tracemalloc.start()
+    try:
+        batch = load_feature_batch(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * batch.blocks.nbytes, peak / batch.blocks.nbytes
 
 
 # The pieces of the documents below: ``data`` in three layouts, and what a

@@ -502,6 +502,15 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "(tolerance 0.001)" in out and "gradcheck: OK" in out
 
+    def test_a_nan_error_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(gradcheck, "classifier_check", lambda seed: {"w1": float("nan")})
+        assert run("gradcheck", "--seed", 0) == EXIT_THRESHOLD
+        out = capsys.readouterr().out
+        assert "classifier w1: nan" in out and "max relative error: nan" in out and "gradcheck: FAIL" in out
+
+    def test_relative_error_divides_by_the_larger_magnitude(self):
+        assert gradcheck.relative_error([0.0], [4.0]) == 1.0
+
     def test_relative_error_of_other_shapes_raises_and_of_no_values_is_0(self):
         with pytest.raises(PreconditionError, match=r"gradient shapes differ: \(2,\) vs \(3,\)"):
             gradcheck.relative_error(np.zeros(2), np.zeros(3))

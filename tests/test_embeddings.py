@@ -234,7 +234,9 @@ class TestL2Normalize:
         ([1e200, 1e200], [0.5 ** 0.5] * 2),  # the norm overflows
         ([1e-200, 3e-200], [0.1 ** 0.5, 0.9 ** 0.5]),  # the squares underflow
         ([5e-324, 0.0], [1.0, 0.0]),  # the smallest subnormal
-    ], ids=["overflow", "underflow", "subnormal"])
+        ([2e-162, 0.0], [1.0, 0.0]),  # the square is subnormal
+        ([1e-160, 1e-160], [0.5 ** 0.5] * 2),  # the sum of squares is subnormal
+    ], ids=["overflow", "underflow", "subnormal", "subnormal square", "subnormal sum of squares"])
     def test_norm_out_of_range_still_gives_unit_length(self, v, unit):
         np.testing.assert_allclose(l2_normalize(v), unit, rtol=1e-15)
 
