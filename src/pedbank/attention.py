@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,16 +49,22 @@ INNER_MAX = 256
 @dataclass(frozen=True, eq=False)
 class FeatureBatch:
     """A batch of feature blocks: ``(m, h, w, c)`` arrays in proposal mode,
-    ``(m, 1, c)`` in query mode."""
+    ``(m, 1, c)`` in query mode, kept owned and read-only (``errors.owned_readonly``)."""
 
     mode: str
     blocks: np.ndarray
+    # (f_k, weakref(params), weakref(trace)) of its last cross_attend, one tuple (_saved_blocks)
+    _forward: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise PreconditionError(f"mode must be one of {MODES}, got {self.mode!r}")
         shape = (None,) * 4 if self.mode == PROPOSAL else (None, 1, None)
-        object.__setattr__(self, "blocks", check_array(f"{self.mode} blocks", self.blocks, shape))
+        blocks = check_array(f"{self.mode} blocks", self.blocks, shape)
+        object.__setattr__(self, "blocks", owned_readonly(blocks))
+
+    def __reduce__(self):  # a weak reference does not pickle; a copy keeps no record
+        return type(self), (self.mode, self.blocks)
 
     @property
     def m(self) -> int:
@@ -273,6 +280,16 @@ def _row_blocks(batch: FeatureBatch, bank: KnowledgeBank, params: AttentionParam
         raise NumericalError("non-finite pre-normalization features")
 
 
+def _saved_blocks(batch: FeatureBatch, bank: KnowledgeBank, params: AttentionParams):
+    """``_row_blocks(batch, bank, params)``, read from their last ``cross_attend``'s trace while it lives."""
+    trace = (f := batch._forward) and f[0] is bank.f_k and f[1]() is params and f[2]()
+    if not trace:
+        return _row_blocks(batch, bank, params)
+    x, pre = batch.blocks.reshape(-1, params.c), trace.pre_norm.reshape(-1, params.c)
+    assoc = trace.assoc.transpose(0, 2, 1, 3).reshape(len(x), -1)
+    return ((rows, x[rows], assoc[rows], pre[rows]) for rows in _inner_blocks(len(x)))
+
+
 @functools.cache
 def _inner_blocks(length: int) -> tuple[slice, ...]:
     """``range(length)`` in ``ceil(length / INNER_MAX)`` consecutive, nearly equal blocks."""
@@ -292,6 +309,7 @@ def cross_attend(
     complemented batch and a trace of the per-head association matrices, the
     pre-norm sums and the output rows, each row block (``_row_blocks``) written
     into them, built without their constructors' checks, which cannot fail here.
+    All are read-only; the batch records the trace weakly (``FeatureBatch``).
     """
     m, c = batch.blocks.shape[0], batch.blocks.shape[-1]
     rows = batch.blocks.size // c
@@ -309,11 +327,15 @@ def cross_attend(
         raise NumericalError("non-finite layer-norm output")
     if out_rows is None:
         assoc, pre, out_rows = scores, sums, normed
+    for arr in (assoc, pre, out_rows):  # before the views below, so none of them can be made writable
+        arr.setflags(write=False)
+    out_rows.shape = batch.blocks.shape  # in place, so the output batch owns its blocks
     out, trace = object.__new__(FeatureBatch), object.__new__(AttentionTrace)
-    vars(out).update(mode=batch.mode, blocks=out_rows.reshape(batch.blocks.shape))
+    vars(out).update(mode=batch.mode, blocks=out_rows)
     assoc = assoc.reshape(m, -1, params.heads, bank.n).transpose(0, 2, 1, 3)
     vars(trace).update(assoc=assoc, pre_norm=pre.reshape(m, -1, c),  # softmax rows sum to 1
                        output=out_rows.reshape(m, -1, c))
+    object.__setattr__(batch, "_forward", (bank.f_k, weakref.ref(params), weakref.ref(trace)))
     return out, trace
 
 
@@ -326,17 +348,19 @@ def attention_gradients(
     cover every projection matrix and the layer-norm affine; they are exact
     and are checked against central finite differences in the test suite.
 
-    The forward is recomputed one row block (``_row_blocks``) at a time, and
-    the sums over rows are added in block order, so working memory is a few
-    arrays of one block's rows (10 MiB at the paper's sizes, 100 blocks of
-    7x7x256) and the bits do not depend on the BLAS thread count.
+    It works one row block at a time, with each block's associations and
+    pre-norm sums read from the trace of the last ``cross_attend`` over the
+    batch while that trace lives and came from this bank and params, else
+    recomputed (``_row_blocks``) to the same bits. Sums over rows are added in
+    block order, so working memory is a few arrays of one block's rows (10 MiB
+    at the paper's sizes) and the bits do not depend on the BLAS thread count.
     """
     up = check_array("upstream", upstream, batch.blocks.shape)
     heads, n, c = params.heads, bank.n, batch.blocks.shape[-1]
     up, totals = up.reshape(-1, c), None  # may view the caller's upstream, so it is only read
-    for block, x, assoc, xhat in _row_blocks(batch, bank, params):  # the pre-norm sums, standardized in place
+    for block, x, assoc, pre in _saved_blocks(batch, bank, params):
         du = up[block]
-        xhat -= xhat.sum(axis=-1, keepdims=True) / c
+        xhat = pre - pre.sum(axis=-1, keepdims=True) / c  # a new array: pre may be the trace's
         rows = xhat * xhat  # the one scratch array of the four row products
         inv = 1.0 / np.sqrt(rows.sum(axis=-1, keepdims=True) / c + params.eps)
         xhat *= inv
@@ -382,8 +406,9 @@ def load_feature_batch(path) -> FeatureBatch:
     if mode == QUERY and (h != 1 or w != 1):
         raise ParseError(f"{path}: query batches require h == w == 1")
     data = jsonio.read_array(doc, "data", path, (m * h * w * c,))
-    shape = (m, h, w, c) if mode == PROPOSAL else (m, 1, c)
-    return FeatureBatch(mode=mode, blocks=data.reshape(shape))
+    data.shape = (m, h, w, c) if mode == PROPOSAL else (m, 1, c)  # in place, so it stays owned
+    data.flags.writeable = False  # handed over, so the batch keeps it without a copy
+    return FeatureBatch(mode=mode, blocks=data)
 
 
 def save_feature_batch(batch: FeatureBatch, path) -> None:

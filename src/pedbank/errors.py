@@ -77,7 +77,7 @@ def owned_readonly(arr: np.ndarray) -> np.ndarray:
     Code that creates an array and hands it straight to a class marks it
     read-only first, and nothing is copied.
     """
-    if arr.flags.writeable or arr.base is not None:
+    if arr.base is not None or arr.flags.writeable:
         arr = arr.copy(order="K")  # same memory layout, so the same BLAS arithmetic
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr

@@ -160,7 +160,7 @@ def read_size(doc: dict, key: str, where) -> int:
 
 
 def read_array(doc: dict, key: str, where, shape: tuple) -> np.ndarray:
-    """The value under ``key`` as a float64 array of ``shape``.
+    """The value under ``key`` as a float64 array of ``shape`` that owns its data.
 
     ``None`` in ``shape`` allows any positive length on that axis; ``()``
     reads a single number. A flat array that ``read_document`` parsed on every
@@ -617,7 +617,7 @@ def _parse_flat(fd: int, key: str) -> dict | None:
                        lambda at: _find(fd, b",", at, stop, TEXT_BYTES_PER_VALUE) + 1 or stop)
     if parts is None:
         return None
-    doc[key] = np.frombuffer(bytearray().join(parts))
+    doc[key] = np.concatenate([np.frombuffer(part) for part in parts])  # an array that owns its data
     return doc
 
 

@@ -12,6 +12,7 @@ from pedbank.attention import (
     AttentionTrace,
     FeatureBatch,
     attention_gradients,
+    cross_attend,
     init_attention,
 )
 from pedbank.bank import KnowledgeBank
@@ -36,6 +37,8 @@ CLASSIFIER = {"w1": [[1.0, 2.0], [3.0, 4.0]], "b1": [0.5, -0.5], "w2": [[1.0, -1
 BANK = {"f_q": [[1.0, 2.0]], "f_h": [[0.0, 0.5]]}
 QUERY = FeatureBatch("query", [[[3.0, 4.0]]])
 ONE_ROW_BANK = KnowledgeBank(**BANK)
+USED_BATCH = FeatureBatch("proposal", [[[[1.0, 2.0], [3.0, 5.0]]]])
+USED_TRACE = cross_attend(USED_BATCH, ONE_ROW_BANK, PARAMS)[1]  # held, so the batch's record is live
 
 
 def with_value(values, name, value):
@@ -197,6 +200,7 @@ OWNERS = {
     "KnowledgeBank": (ONE_ROW_BANK, ("f_q", "f_h", "f_k")),
     "AttentionParams": (PARAMS, tuple(PARAM_ARRAYS)),
     "EmbeddingDataset": (generate_synthetic(seed=0, pedestrians=1, backgrounds=1, dim=2), ("vectors",)),
+    "FeatureBatch": (USED_BATCH, ("blocks",)),
 }
 
 

@@ -395,9 +395,12 @@ PARAM_NAMES = ("w_q", "w_k", "w_v", "w_o", "gain", "bias")
 
 
 def cold(fn, *args):
-    """``fn(*args)`` with no bank fold remembered by its params from an earlier call."""
+    """``fn(*args)`` with no bank fold remembered by its params and no trace
+    recorded by its batch from an earlier call."""
     params = next(arg for arg in args if isinstance(arg, AttentionParams))
     object.__setattr__(params, "_fold", None)
+    for batch in (arg for arg in args if isinstance(arg, FeatureBatch)):
+        object.__setattr__(batch, "_forward", None)
     return fn(*args)
 
 
@@ -471,11 +474,14 @@ class TestProjectionMemo:
             want_out, _ = cold(cross_attend, batch, *pair)
             want_grads = cold(attention_gradients, batch, *pair, upstream)
             cold(cross_attend, batch, bank, params)  # remember the first pair
-            got_out, _ = cross_attend(batch, *pair)
-            cold(cross_attend, batch, bank, params)
+            got_out, got_trace = cross_attend(batch, *pair)
+            first = cold(cross_attend, batch, bank, params)  # held, and recorded after the pair's
             got_grads = attention_gradients(batch, *pair, upstream)
             np.testing.assert_array_equal(got_out.blocks, want_out.blocks)
             assert_same_grads(got_grads, want_grads)
+            del first, got_trace
+            cross_attend(batch, *pair)  # the pair's own trace, dropped at once
+            assert_same_grads(attention_gradients(batch, *pair, upstream), want_grads)
 
     def test_params_that_reuse_a_dead_objects_address_are_projected_afresh(self):
         batch, bank, params = small_setup()
@@ -521,11 +527,12 @@ class TestProjectionMemo:
 
     def test_the_memo_keeps_no_bank_or_params_alive(self):
         batch, bank, params = small_setup()
-        cross_attend(batch, bank, params)
-        refs = weakref.ref(bank), weakref.ref(params)
-        del bank, params
+        _, trace = cross_attend(batch, bank, params)
+        refs = weakref.ref(bank), weakref.ref(params), weakref.ref(trace)
+        del bank, params, trace
         gc.collect()
         assert all(ref() is None for ref in refs)
+        assert batch._forward is not None  # the batch lives on with its record
 
     def test_bank_and_params_arrays_are_read_only(self):
         _, bank, params = small_setup()
@@ -648,13 +655,21 @@ class TestGradientsInPlace:
 
 _GRADIENT_DIGESTS = """
 import hashlib, numpy as np
-from pedbank import FeatureBatch, attention_gradients, init_attention
+from pedbank import FeatureBatch, attention_gradients, cross_attend, init_attention
 from support import random_bank
 rng = np.random.default_rng(0)
 batch = FeatureBatch("proposal", rng.normal(size=(12, 7, 7, 256)))
 params = init_attention(c=256, d=512, d_m=64, heads=8, seed=0)
-grads = attention_gradients(batch, random_bank(1, 50, 512), params, rng.normal(size=batch.blocks.shape))
-print(*(hashlib.sha256(getattr(grads, name).tobytes()).hexdigest()[:16] for name in vars(grads)))
+bank, upstream = random_bank(1, 50, 512), rng.normal(size=batch.blocks.shape)
+
+def digests():
+    grads = attention_gradients(batch, bank, params, upstream)
+    return " ".join(hashlib.sha256(getattr(grads, name).tobytes()).hexdigest()[:16] for name in vars(grads))
+
+recomputed = digests()
+out, trace = cross_attend(batch, bank, params)
+print(recomputed)
+print(digests())  # read from the held trace
 """
 
 # one head of width 1 over two unit codewords, so every score is x0 + x1 and the
@@ -704,6 +719,8 @@ class TestRowBlocks:
             proc = subprocess.run([sys.executable, "-c", _GRADIENT_DIGESTS], capture_output=True,
                                   text=True, env=env, timeout=300)
             assert (proc.returncode, proc.stderr) == (0, "")
+            recomputed, held = proc.stdout.splitlines()
+            assert held == recomputed, f"the held trace gives other gradients on {threads} thread(s)"
             digests.append(proc.stdout)
         assert digests[0] == digests[1], f"gradients differ on one and two threads of {blas_config()}"
 
@@ -732,6 +749,56 @@ class TestRowBlocks:
         if step != "layer-norm output":  # the backward does not compute the output
             with pytest.raises(NumericalError, match=f"^non-finite {step}$"):
                 attention_gradients(batch, bank, params, np.ones(batch.blocks.shape))
+
+
+class TestHeldTrace:
+    """``attention_gradients`` reads the trace of a ``cross_attend`` that the
+    caller still holds instead of recomputing it, with the same bits."""
+
+    @pytest.mark.parametrize("mode, shape", [
+        ("proposal", dict(m=100, h=7, w=7, c=16, n=50, d=16, d_m=4, heads=6)),  # 4900 rows, 300 entries
+        ("query", dict(m=1, h=1, w=1)),
+        ("proposal", dict(m=1, h=1, w=1)),
+    ], ids=["4900 rows", "a query", "a 1x1 proposal"])
+    def test_a_held_trace_gives_the_bits_of_the_recomputation(self, mode, shape, monkeypatch):
+        batch, bank, params = small_setup(seed=80, **shape)
+        if mode == "query":
+            batch = FeatureBatch(mode, batch.blocks.reshape(batch.m, 1, batch.c))
+        upstream = np.random.default_rng(81).normal(size=batch.blocks.shape)
+        want = cold(attention_gradients, batch, bank, params, upstream)
+        _, trace = cross_attend(batch, bank, params)  # held, so the gradients read it
+
+        def recompute(*args, **kwargs):
+            raise AssertionError("the forward was recomputed while its trace was held")
+
+        monkeypatch.setattr(attention, "_row_blocks", recompute)
+        assert_same_grads(attention_gradients(batch, bank, params, upstream), want)
+
+    def test_a_write_to_the_callers_array_changes_neither_the_batch_nor_its_gradients(self):
+        batch, bank, params = small_setup(seed=82)
+        given = np.array(batch.blocks)
+        mine = FeatureBatch(batch.mode, given)
+        upstream = np.random.default_rng(83).normal(size=batch.blocks.shape)
+        want = attention_gradients(batch, bank, params, upstream)
+        _, trace = cross_attend(mine, bank, params)  # held, so the gradients read it
+        given += 1.0
+        np.testing.assert_array_equal(mine.blocks, batch.blocks)
+        assert_same_grads(attention_gradients(mine, bank, params, upstream), want)
+
+    @pytest.mark.parametrize("mode, m", [("query", 3), ("proposal", 30)], ids=["one row block", "two"])
+    def test_the_trace_and_the_output_are_read_only(self, mode, m):
+        batch, bank, params = small_setup(seed=84, m=m, h=3, w=3)
+        if mode == "query":
+            batch = FeatureBatch(mode, batch.blocks.reshape(-1, 1, batch.c))
+        out, trace = cross_attend(batch, bank, params)
+        for arr in (trace.assoc, trace.pre_norm, trace.output, out.blocks):
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2.0
+        for view in (trace.assoc, trace.pre_norm, trace.output):  # views taken once their arrays were marked
+            with pytest.raises(ValueError):
+                view.flags.writeable = True
 
 
 def relative_error(got, want):

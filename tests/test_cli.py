@@ -508,6 +508,13 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "classifier w1: nan" in out and "max relative error: nan" in out and "gradcheck: FAIL" in out
 
+    def test_an_error_equal_to_the_tolerance_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(gradcheck, "classifier_check", lambda seed: {"w1": 1e-3})
+        monkeypatch.setattr(gradcheck, "attention_check", lambda seed: {"w_q": 1e-3})
+        assert run("gradcheck", "--tolerance", "1e-3") == EXIT_THRESHOLD
+        out = capsys.readouterr().out
+        assert "max relative error: 1.000e-03 (tolerance 0.001)" in out and "gradcheck: FAIL" in out
+
     def test_relative_error_divides_by_the_larger_magnitude(self):
         assert gradcheck.relative_error([0.0], [4.0]) == 1.0
 
