@@ -82,8 +82,8 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_build_bank(args) -> int:
-    dataset = embeddings.parse_embedding_file(args.embeddings, normalize=args.normalize)
-    pedestrians, backgrounds = embeddings.split_by_label(dataset)
+    pedestrians, backgrounds = embeddings.split_by_label(  # the splits hold every row
+        embeddings.parse_embedding_file(args.embeddings, normalize=args.normalize))
     if len(pedestrians) == 0 or len(backgrounds) == 0:
         raise PreconditionError(
             "building a bank requires both pedestrian and background records"
@@ -94,8 +94,8 @@ def cmd_build_bank(args) -> int:
             n=args.n, max_iters=args.max_iters, tol=args.tol, seed=args.seed
         ),
     )
-    counts = np.bincount(quantizer.assignment_report(dataset, codebook), minlength=codebook.n)
-    del dataset  # the splits hold a copy of every row; keep one copy through training
+    counts = sum(np.bincount(quantizer.assignment_report(split, codebook), minlength=codebook.n)
+                 for split in (pedestrians, backgrounds))  # each row's scores are the whole dataset's
     hint_set, _, history = hints.train_hints(
         pedestrians,
         backgrounds,

@@ -74,23 +74,24 @@ def parse_embedding_file(path, normalize: bool = False) -> EmbeddingDataset:
     and ``vector``; the dataset dimension is inferred from the first
     record. With ``normalize`` set, each vector is L2-normalized at
     ingestion. Errors name the offending 1-based line. A large file is
-    parsed on every CPU (``jsonio.map_lines``); where a part fails, or the
-    parts disagree on the dimension or share an id, the file is parsed
-    again in this process, so the result and every error are the same.
+    parsed on every CPU (``jsonio.map_lines``) into one array (``gather``);
+    where a part fails or does not fit, or the parts disagree on the
+    dimension or share an id, the file is parsed again in this process, so
+    the result and every error are the same.
     """
-    parts = jsonio.map_lines(path, _parse_lines, path, normalize)
-    ids = [rec_id for part in parts or () for rec_id in part[0]]
-    if parts is None or len({part[3] for part in parts}) > 1 or len(set(ids)) < len(ids):
-        parts = [_parse_lines(jsonio.read_lines(path), path, normalize)]
-        ids = parts[0][0]
-    labels = [label for part in parts for label in part[1]]
-    vectors = np.empty((len(ids), parts[0][3] or 0))
-    flat, at = vectors.reshape(-1), 0
-    for i in range(len(parts)):  # each part's bytes go once they are copied
-        values = np.frombuffer(parts[i][2])
-        parts[i] = None
-        flat[at:at + len(values)] = values
-        at += len(values)
+    ids, labels, dims = [], [], set()
+
+    def take(part):
+        ids.extend(part[0])
+        labels.extend(part[1])
+        dims.add(part[3])
+        return part[2]
+
+    vectors = jsonio.gather(jsonio.map_lines(path, _parse_lines, path, normalize), take)
+    if vectors is None or len(dims) != 1 or len(set(ids)) < len(ids):  # failed, none ran, or they disagree
+        ids, labels, rows, dim = _parse_lines(jsonio.read_lines(path), path, normalize)
+        vectors, dims = np.frombuffer(rows).copy(), {dim or 0}
+    vectors.shape = (len(ids), dims.pop())  # in place, so it stays owned
     vectors.flags.writeable = False  # handed over: the dataset keeps it without a copy
     return EmbeddingDataset(ids=tuple(ids), labels=tuple(labels), vectors=vectors)
 

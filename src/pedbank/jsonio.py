@@ -26,11 +26,12 @@ available to the process) and through one map, ``_pooled_map``, which forks
 its workers: they format the chunks of a large array, and they parse a
 JSON-lines file (``map_lines``) or the flat array of a document, which
 ``json`` itself finds (``read_document``), in the parts that ``_map_parts``
-cuts, each read from the descriptor the parent opened; ``_map_parts`` also
-holds the readers' fall-back. The bytes written, the arrays read and every
-error do not depend on which way ran. Each map's calls go only to its own
-workers, so readers and writers may run in several threads at once. Every
-writer goes through ``replacing``: a failed write leaves a file as it was.
+cuts, each read from the descriptor the parent opened; ``gather`` copies
+each into one array as it arrives and holds the readers' fall-back. The
+bytes written, the arrays read and every error do not depend on which way
+ran. Each map's calls go only to its own workers, so readers and writers may
+run in several threads at once. Every writer goes through ``replacing``: a
+failed write leaves a file as it was.
 """
 
 from __future__ import annotations
@@ -100,33 +101,34 @@ def read_lines(path, data: bytes | None = None):
                 raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def map_lines(path, function, *args) -> list | None:
-    """``function(read_lines(path, data), *args)`` for the bytes ``data`` of
-    each range of ``path`` cut at line breaks, in order, through
-    ``_map_parts``, in forked processes that read their ranges from the
-    descriptor this process opened, so all come from the same file.
+def map_lines(path, function, *args):
+    """``(share, function(read_lines(path, data), *args))`` for the bytes
+    ``data`` of each range of ``path`` cut at line breaks, ``share`` of the
+    file, in order, as the caller takes them, through ``_map_parts``, in
+    forked processes that read their ranges from the descriptor this process
+    opened, so all come from the same file, which stays open until the
+    caller has taken every range or closed the iterator.
 
-    ``None`` when ``path`` is not a regular file (a pipe is read once, in
+    Nothing when ``path`` is not a regular file (a pipe is read once, in
     order) and wherever ``_map_parts`` gives ``None``: the caller then reads
     the file through ``read_lines``, which decides.
     """
-    if not os.path.isfile(path):
-        return None
-    with open(path, "rb") as fh:  # a cut at byte ``at`` ends the line that holds it
-        fd = fh.fileno()
-        return _map_parts(lambda a, b: function(read_lines(path, os.pread(fd, b - a, a)), *args), 0,
-                          os.fstat(fd).st_size, lambda at: fh.seek(at) + len(fh.readline()))
+    if os.path.isfile(path):
+        with open(path, "rb") as fh:  # a cut at byte ``at`` ends the line that holds it
+            fd = fh.fileno()
+            yield from _map_parts(lambda a, b: function(read_lines(path, os.pread(fd, b - a, a)), *args), 0,
+                                  os.fstat(fd).st_size, lambda at: fh.seek(at) + len(fh.readline())) or ()
 
 
 def read_document(path, keys, flat=None) -> dict:
     """Load a JSON object from ``path`` that holds at least ``keys``.
 
     Where the object's ``flat`` key holds a flat array, its items are cut at
-    commas and parsed through ``_map_parts`` (``_parse_flat``), and come back
-    as a float64 array that has passed ``read_array``'s number and finiteness
-    rules. Every other layout, and wherever ``_map_parts`` gives ``None``, is
-    parsed by ``json`` in this process, so the values and every error are
-    the same.
+    commas, parsed through ``_map_parts`` and copied into one array as each
+    part arrives (``_parse_flat``), and come back as a float64 array that
+    has passed ``read_array``'s number and finiteness rules. Every other
+    layout, and wherever ``gather`` gives ``None``, is parsed by ``json`` in
+    this process, so the values and every error are the same.
     """
     with open(path, "rb") as fh:
         doc = _parse_flat(fh.fileno(), flat) if flat is not None else None
@@ -560,32 +562,55 @@ def _run_call(index: int):
     return pickle.dumps(function(*calls[index]), pickle.HIGHEST_PROTOCOL)
 
 
-def _map_parts(work, start: int, stop: int, cut) -> list | None:
-    """``work(a, b)`` for each part ``[a, b)`` of ``[start, stop)``, in
-    order, through ``_pooled_map``: the size rule and the fall-back of both
+def _map_parts(work, start: int, stop: int, cut):
+    """``(share, work(a, b))``, where ``share`` is ``(b - a) / (stop -
+    start)``, for each part ``[a, b)`` of ``[start, stop)``, in order, as the
+    caller takes them, through ``_pooled_map``: the size rule of both
     readers. ``[start, stop)`` is bytes of a file's text, counted as
     ``TEXT_BYTES_PER_VALUE`` per value; each part holds about
     ``CHUNK_VALUES`` values and ends at ``cut(offset)``, just after the
     first separator from ``offset`` on, or at ``stop``.
 
-    ``None`` below the size rule, before any ``cut``, and when a part raises
-    a ``PedbankError`` or ``ValueError``: the caller then reads the whole
-    text in this process, which decides. Any other exception is raised.
+    ``None`` below the size rule, before any ``cut``. An exception a part
+    raises is raised as the caller takes that part.
     """
     workers = _workers((stop - start) // TEXT_BYTES_PER_VALUE, _cpus())
     if workers < 2:
         return None
     step = CHUNK_VALUES * TEXT_BYTES_PER_VALUE
     bounds = sorted({start, stop, *map(cut, range(start + step, stop, step))})
-    try:
-        return list(_pooled_map(work, bounds[:-1], bounds[1:], workers=min(workers, len(bounds) - 1)))
-    except (PedbankError, ValueError):
-        return None
+    return _pooled_map(lambda a, b: ((b - a) / (stop - start), work(a, b)), bounds[:-1], bounds[1:],
+                       workers=min(workers, len(bounds) - 1))
+
+
+def gather(parts, take) -> np.ndarray | None:
+    """The float64 bytes ``take(result)`` of each ``(share, result)`` of
+    ``_map_parts``, in order, in one array that owns its data: each part is
+    copied as it arrives and dropped, into an array sized from the first
+    part (its values over its share, plus one part) and shrunk in place at
+    the end. ``None`` where a part does not fit or raises a ``PedbankError``
+    or ``ValueError``: the caller reads the text in this process, which
+    decides. ``parts`` is closed on every exit, which ends its workers.
+    """
+    out, at = np.empty(0), 0
+    with contextlib.closing(parts):
+        try:
+            for i, (share, result) in enumerate(parts):
+                values = np.frombuffer(take(result))
+                out = out if i else np.empty(int(len(values) / share) + len(values))
+                if at + len(values) > len(out):
+                    return None
+                out[at:at + len(values)] = values
+                at += len(values)
+        except (PedbankError, ValueError):
+            return None
+    out.resize(at, refcheck=False)  # no view of it is left
+    return out
 
 
 def _parse_flat(fd: int, key: str) -> dict | None:
     """``json.loads`` of the file open at ``fd`` with ``key``'s flat array
-    parsed through ``_map_parts`` into a float64 array, or ``None``. This
+    parsed through ``_map_parts`` and ``gather``, or ``None``. This
     process keeps the text only of the head, up to the first ``"key": [``,
     and of the tail, from the first ``]`` on, and ``json`` reads them with
     ``NaN`` between; only a ``dict`` whose ``key`` holds that ``NaN``, the
@@ -615,10 +640,8 @@ def _parse_flat(fd: int, key: str) -> dict | None:
         return None
     parts = _map_parts(functools.partial(_parse_slice, fd), start, stop,
                        lambda at: _find(fd, b",", at, stop, TEXT_BYTES_PER_VALUE) + 1 or stop)
-    if parts is None:
-        return None
-    doc[key] = np.concatenate([np.frombuffer(part) for part in parts])  # an array that owns its data
-    return doc
+    doc[key] = gather(parts, bytes) if parts is not None else None
+    return doc if doc[key] is not None else None
 
 
 def _find(fd: int, byte: bytes, at: int, stop: int, width: int) -> int:

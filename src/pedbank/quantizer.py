@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingDataset
-from .errors import DimensionError, PreconditionError, check_array, check_seed, check_sizes
+from .errors import DimensionError, NumericalError, PreconditionError, check_array, check_seed, check_sizes
 
 
 @dataclass(frozen=True)
@@ -57,30 +57,40 @@ class Codebook:
 def _distinct_rows(rows: np.ndarray) -> int:
     """How many distinct rows a finite 2-D array holds, compared as floats:
     adding 0.0 makes every -0.0 a 0.0, so equal rows have equal bytes."""
-    return len(set(map(bytes, rows + 0.0)))
+    return len({(row + 0.0).tobytes() for row in rows})
 
 
-def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # expansion form keeps memory at (P, N); clip absorbs tiny negatives
-    p2 = np.sum(points**2, axis=1)[:, None]
+def _sq_distances(points, centroids: np.ndarray) -> np.ndarray:
+    # expansion form keeps memory at (P, N); clip absorbs tiny negatives. ``points``
+    # is the rows and their squared norms; (2c)x is (2x)c exactly, with no (P, d) copy
+    X, p2 = points
     c2 = np.sum(centroids**2, axis=1)[None, :]
-    return np.maximum(p2 + c2 - 2.0 * points @ centroids.T, 0.0)
+    return np.maximum(p2[:, None] + c2 - X @ (2.0 * centroids).T, 0.0)
+
+
+def _finite(values, what: str):
+    """``values``, unless one is not finite: the computation overflowed."""
+    if not np.isfinite(values).all():
+        raise NumericalError(f"non-finite {what}")
+    return values
 
 
 def _plusplus_init(points: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     chosen = np.empty((n, points.shape[1]))
+    buf = np.empty_like(points)  # each (P, d) difference: the bits of np.sum((points - c)**2, axis=1)
     idx = int(rng.integers(points.shape[0]))
     chosen[0] = points[idx]
-    min_d = np.sum((points - chosen[0]) ** 2, axis=1)
+    min_d = np.sum(np.square(np.subtract(points, chosen[0], out=buf), out=buf), axis=1)
     for i in range(1, n):
         # distance-weighted draw; duplicates of chosen points have zero mass
-        probs = min_d / min_d.sum()
+        probs = min_d / _finite(min_d.sum(), "squared distances in k-means seeding")
         idx = int(rng.choice(points.shape[0], p=probs))
         chosen[i] = points[idx]
-        min_d = np.minimum(min_d, np.sum((points - chosen[i]) ** 2, axis=1))
+        min_d = np.minimum(min_d, np.sum(np.square(np.subtract(points, chosen[i], out=buf), out=buf), axis=1))
     return chosen
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NumericalError
 def kmeans_with_objectives(
     points: EmbeddingDataset, config: KMeansConfig
 ) -> tuple[Codebook, list[float]]:
@@ -104,9 +114,10 @@ def kmeans_with_objectives(
         )
     rng = np.random.default_rng(config.seed)
     centroids = _plusplus_init(X, config.n, rng)
-    dists = _sq_distances(X, centroids)
+    with_norms = X, np.sum(X**2, axis=1)
+    dists = _sq_distances(with_norms, centroids)
     assign = dists.argmin(axis=1)
-    obj = float(dists.min(axis=1).sum())
+    obj = float(_finite(dists.min(axis=1).sum(), "squared distances in k-means seeding"))
     objectives = [obj]
     for _ in range(config.max_iters):
         updated = centroids.copy()
@@ -116,15 +127,18 @@ def kmeans_with_objectives(
                 updated[j] = X[mask].mean(axis=0)
         empty = np.flatnonzero(np.bincount(assign, minlength=config.n) == 0)
         used: set[int] = set()
+        buf = np.empty_like(X) if len(empty) else None
         for j in empty:
-            far = np.sum((X - centroids[j]) ** 2, axis=1)
+            far = np.sum(np.square(np.subtract(X, centroids[j], out=buf), out=buf), axis=1)
             for idx in np.argsort(-far, kind="stable"):
                 if int(idx) not in used:
                     updated[j] = X[int(idx)]
                     used.add(int(idx))
                     break
-        new_dists = _sq_distances(X, updated)
-        new_obj = float(new_dists.min(axis=1).sum())
+        del buf
+        new_dists = _sq_distances(with_norms, updated)
+        new_obj = float(_finite(new_dists.min(axis=1).sum(),
+                                f"squared distances in k-means iteration {len(objectives)}"))
         if new_obj > obj:
             break
         centroids = updated
@@ -137,12 +151,13 @@ def kmeans_with_objectives(
     return Codebook(centroids), objectives
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NumericalError
 def route(points: np.ndarray, codebook: Codebook) -> np.ndarray:
     """Codeword index with the largest inner product for every row of ``points``.
 
     The one routing rule, one matrix product per batch; ties go to the lowest index.
     """
-    return (points @ codebook.centroids.T).argmax(axis=1)
+    return _finite(points @ codebook.centroids.T, "routing scores").argmax(axis=1)
 
 
 def quantize(p, codebook: Codebook) -> int:

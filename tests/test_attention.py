@@ -936,6 +936,8 @@ FLAT_CASES = {
     "split: a string holding ] after data": '{%s, %s, "note": "a]b"}' % (HEADER, DATA),
     "split: a wrong length": '{%s, "data": [1.0, 2.0, 3.0]}' % HEADER,
     "split: a cut at the closing ]": '{%s, "data": [1.0, 2.0, 3.0, 400.0]}' % HEADER,
+    # the first part has the fewest values per byte, so the array sized from it overflows
+    "long values first, so the sized array overflows": '{%s, "data": [1.%s, 2, 3, 4]}' % (HEADER, "0" * 30),
     "data twice": "{%s, %s, %s}" % (HEADER, DATA, DATA.replace("1.0", "7.0")),
     "split: another key twice": '{"m": 2, %s, %s}' % (HEADER, DATA),
     "nested data": '{%s, "data": [[1.0, 2.0], [3.0, 4.0]]}' % HEADER,
@@ -975,8 +977,8 @@ def test_pooled_and_in_process_loads_agree(tmp_path, monkeypatch, name):
 
 
 def test_a_pooled_load_keeps_no_copy_of_the_text(tmp_path, monkeypatch):
-    # the text is about 2.7 times the array; this process holds the parsed parts and the array
-    # they are joined into, and of the text only the head, the tail and one window at a time
+    # the text is about 2.7 times the array; this process holds the array, the parsed parts on
+    # their way into it, and of the text only the head, the tail and one window at a time
     monkeypatch.setattr(jsonio, "POOL_MIN_VALUES", 1)
     monkeypatch.setattr(jsonio, "_cpus", lambda: 2)
     path = tmp_path / "batch.json"
@@ -990,6 +992,25 @@ def test_a_pooled_load_keeps_no_copy_of_the_text(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * batch.blocks.nbytes, peak / batch.blocks.nbytes
+
+
+def test_a_pooled_load_holds_about_one_copy_of_the_array(tmp_path, monkeypatch):
+    # each part is copied into the array, sized from the first part, as it arrives, and
+    # dropped: the array, its slack of about one part and the parts on their way into it
+    monkeypatch.setattr(jsonio, "_cpus", lambda: 2)
+    path, small = tmp_path / "batch.json", tmp_path / "small.json"
+    save_feature_batch(FeatureBatch("proposal", np.random.default_rng(71).normal(size=(50, 7, 7, 256))), path)
+    save_feature_batch(FeatureBatch("proposal", np.ones((4, 1, 1, 4))), small)
+    with pytest.MonkeyPatch.context() as mp:  # the pool's modules are imported outside the trace
+        mp.setattr(jsonio, "POOL_MIN_VALUES", 1)
+        load_feature_batch(small)
+    tracemalloc.start()
+    try:
+        batch = load_feature_batch(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * batch.blocks.nbytes, peak / batch.blocks.nbytes
 
 
 # The pieces of the documents below: ``data`` in three layouts, and what a

@@ -34,7 +34,7 @@ from pedbank.errors import DimensionError, NumericalError, ParseError, PedbankEr
 from pedbank.hints import TrainConfig, forward_classify, init_hints, train_hints
 from pedbank.quantizer import Codebook, KMeansConfig, assignment_report, kmeans_with_objectives, quantize
 
-from support import negated_gradients, random_bank
+from support import make_dataset, negated_gradients, random_bank
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -44,14 +44,39 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def run_in_subprocess(*argv, **env):
-    """``python -m pedbank *argv`` in a new interpreter that imports this
-    checkout's package, with ``env`` added to the environment."""
+def run_in_subprocess(*argv, **options):
+    """``python -m pedbank *argv`` through ``python_in_subprocess``."""
+    return python_in_subprocess("-m", "pedbank", *argv, **options)
+
+
+def python_in_subprocess(*args, **options):
+    """``start_python(*args, **options)``, waited for."""
+    return finished(start_python(*args, **options))
+
+
+def start_python(*args, cwd=None, one_cpu=False, **env):
+    """``python *args`` started in a new interpreter that imports this
+    checkout's package, with ``env`` added to the environment, in ``cwd``,
+    and with ``one_cpu`` on the first CPU this process may use alone, as
+    ``taskset`` pins it."""
     src = Path(jsonio.__file__).resolve().parent.parent
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [
         str(src), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "pedbank", *map(str, argv)],
-                          capture_output=True, text=True, env=env, timeout=300)
+    cpu = {min(os.sched_getaffinity(0))} if one_cpu else None
+    return subprocess.Popen([sys.executable, *map(str, args)], cwd=cwd, env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            preexec_fn=cpu and (lambda: os.sched_setaffinity(0, cpu)))
+
+
+def finished(proc):
+    """The ``CompletedProcess`` of ``proc``, once it has ended; killed after 300 s."""
+    with proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=300)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
 
 def readme_cli_commands():
@@ -238,8 +263,25 @@ class TestBuildBank:
         assert re.fullmatch(r"error: non-finite (logit|loss) at step \d+ \(.*\)\n", err), err
         assert not bank_path.exists()
 
+    def test_an_overflow_in_k_means_exits_1_naming_the_step(self, tmp_path, capsys):
+        # 120 finite rows near 1e160: their squared distances pass the float range
+        path, bank_path = tmp_path / "huge.jsonl", tmp_path / "bank.json"
+        vectors = np.random.default_rng(9).normal(size=(120, 8)) * 1e160
+        write_embedding_file(make_dataset(vectors, ["pedestrian"] * 80 + ["background"] * 40), path)
+        assert run("build-bank", path, bank_path, "--n", 5, "--steps", 20, "--no-normalize") == EXIT_OTHER
+        assert capsys.readouterr().err == "error: non-finite squared distances in k-means seeding\n"
+        assert not bank_path.exists()
+
 
 class TestInspect:
+    def test_an_overflow_in_routing_exits_1(self, tmp_path, capsys):
+        # finite rows near the largest double: a sum of their products with a codeword is not
+        bank_path, path = tmp_path / "bank.json", tmp_path / "huge.jsonl"
+        save_bank(random_bank(seed=10, n=4, dim=16), bank_path)
+        write_embedding_file(make_dataset(np.full((3, 16), 1e308)), path)
+        assert run("inspect", bank_path, path, "--no-normalize") == EXIT_OTHER
+        assert capsys.readouterr().err == "error: non-finite routing scores\n"
+
     def test_reports_match_library_assignment(self, tmp_path, built_bank, embeddings_file, capsys):
         groups_out = tmp_path / "groups.json"
         csv_out = tmp_path / "fk.csv"
@@ -547,3 +589,118 @@ class TestIndistinguishableControl:
             correct += int(predicted == (1 if label == "pedestrian" else 0))
         accuracy = correct / len(held)
         assert 0.3 <= accuracy <= 0.7, accuracy
+
+
+# build-bank with the counts behind its entropy and the parsed dataset kept, and the counts of
+# routing that whole dataset at once
+COUNTS_OF_THE_SPLITS = """
+import sys, numpy as np
+from pedbank import bank, cli, embeddings, quantizer
+paper, out = sys.argv[1:]
+counts, datasets, entropy, split = [], [], cli._entropy, embeddings.split_by_label
+cli._entropy = lambda c: counts.append(c) or entropy(c)
+embeddings.split_by_label = lambda dataset: datasets.append(dataset) or split(dataset)
+assert cli.main(["build-bank", paper, out, "--n", "50", "--steps", "1", "--normalize"]) == 0
+codebook = quantizer.Codebook(bank.load_bank(out).f_q)
+whole = np.bincount(quantizer.route(datasets[0].vectors, codebook), minlength=50)
+sys.exit(None if np.array_equal(counts, [whole]) else f"split counts {counts} != whole counts {whole}")
+"""
+
+
+def test_build_bank_counts_the_assignments_of_the_whole_dataset(paper_dir, tmp_path):
+    # build-bank counts the assignments of its two splits: each row's scores
+    # are the whole dataset's, bit for bit, on one BLAS thread and on two
+    runs = [start_python("-c", COUNTS_OF_THE_SPLITS, paper_dir / "paper.jsonl", tmp_path / f"bank_{threads}.json",
+                         OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+    for proc in map(finished, runs):
+        assert proc.returncode == 0, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def one_cpu_bank(paper_dir):
+    """``bank_one_cpu.json``, which build-bank writes from ``paper.jsonl`` on one
+    CPU and one BLAS thread, with ``hist_one_cpu.jsonl``, beside the bank and
+    history it writes on all CPUs, ``bank_all_cpus.json`` and
+    ``hist_all_cpus.jsonl``; the two runs go side by side."""
+    if jsonio._cpus() < 2:
+        pytest.skip("one CPU: nothing is forked, so there is no other way to run")
+    runs = [start_python("-m", "pedbank", "build-bank", "paper.jsonl", f"bank_{cpu}.json", "--n", 50,
+                         "--steps", 2000, "--normalize", "--history", f"hist_{cpu}.jsonl", cwd=paper_dir,
+                         one_cpu=cpu == "one_cpu", **({"OPENBLAS_NUM_THREADS": "1"} if cpu == "one_cpu" else {}))
+            for cpu in ("one_cpu", "all_cpus")]
+    for proc in map(finished, runs):
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    return paper_dir / "bank_one_cpu.json"
+
+
+def test_build_bank_writes_the_same_bytes_on_one_cpu_as_on_all_of_them(paper_dir, one_cpu_bank):
+    # training applies its deferred w1 updates as a matrix product that a multithreaded BLAS
+    # may split across threads; the bank and the history must not depend on how many ran
+    for name in ("bank_{}.json", "hist_{}.jsonl"):
+        one, all_cpus = ((paper_dir / name.format(cpu)).read_bytes() for cpu in ("one_cpu", "all_cpus"))
+        assert one == all_cpus, name
+
+
+# ``cli.main`` on each ``[cwd, argv]`` in turn, in this one interpreter, with its exit code,
+# stdout and stderr printed as JSON
+CLI_CASES = """
+import contextlib, io, json, os, sys
+from pedbank import cli
+results = []
+for cwd, argv in json.loads(sys.argv[1]):
+    os.chdir(cwd)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_inspect_and_the_readers_errors_are_the_same_on_one_cpu_as_on_all_of_them(
+        paper_dir, one_cpu_bank, tmp_path):
+    # paper.jsonl and large.json hold more text than jsonio's size rule, so on all CPUs they are
+    # parsed in forked workers and on one CPU in this process; a CRLF copy of paper.jsonl is cut
+    # after its "\n"s and parsed in forked workers too, and reads as the LF file does
+    paper = paper_dir / "paper.jsonl"
+    text = paper.read_bytes()
+    (tmp_path / "crlf_paper.jsonl").write_bytes(text.replace(b"\n", b"\r\n"))
+    # each malformed copy breaks a rule in its last part (line 1's id again, a NaN as the last
+    # item) or in its first (line 1 cut short, so the other parts' results are still coming), or
+    # is not UTF-8 text in its last line, and both runs must report it the same way
+    lines = text.decode().splitlines(True)
+    last = json.loads(lines[-1])
+    last["id"] = json.loads(lines[0])["id"]
+    (tmp_path / "bad_paper.jsonl").write_text("".join(lines[:-1]) + json.dumps(last) + "\n")
+    (tmp_path / "bad_first.jsonl").write_text(lines[0][:40] + "\n" + "".join(lines[1:]))
+    at = text.rindex(b"\n", 0, len(text) - 1) + 10
+    (tmp_path / "bad_utf8.jsonl").write_bytes(text[:at] + b"\xff" + text[at:])
+    blocks = np.random.default_rng(0).normal(size=(jsonio.POOL_MIN_VALUES // 256 + 1, 1, 1, 256))
+    save_feature_batch(FeatureBatch("proposal", blocks), tmp_path / "large.json")
+    large = (tmp_path / "large.json").read_text()
+    end = large.index('], "h"')
+    (tmp_path / "bad_large.json").write_text(large[:large.rindex(",", 0, end)] + ", NaN" + large[end:])
+    save_bank(random_bank(seed=0, n=50, dim=16), tmp_path / "small_bank.json")
+    reports = ["--groups-out", "groups.json", "--fk-csv-out", "fk.csv"]
+    runs = {}
+    for cpu in ("one_cpu", "all_cpus"):  # side by side
+        cases = []
+        for source in (paper, tmp_path / "crlf_paper.jsonl"):
+            (tmp_path / cpu / source.stem).mkdir(parents=True)
+            cases.append([str(tmp_path / cpu / source.stem), ["inspect", str(one_cpu_bank), str(source), *reports]])
+        for name in ("paper", "first", "utf8"):
+            cases.append([str(tmp_path), ["inspect", str(one_cpu_bank), str(tmp_path / f"bad_{name}.jsonl"), *reports]])
+        cases.append([str(tmp_path), ["complement", "small_bank.json", "bad_large.json", "bad_out.json"]])
+        runs[cpu] = start_python("-c", CLI_CASES, json.dumps(cases), one_cpu=cpu == "one_cpu")
+    results = {}
+    for cpu, proc in runs.items():
+        proc = finished(proc)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        results[cpu] = json.loads(proc.stdout)
+    assert results["one_cpu"] == results["all_cpus"]
+    codes = [code for code, stdout, stderr in results["one_cpu"]]
+    assert codes == [EXIT_OK] * 2 + [EXIT_PARSE] * 4, results["one_cpu"]
+    assert results["one_cpu"][0] == results["one_cpu"][1]  # LF and CRLF
+    outputs = {(tmp_path / cpu / source / name).read_bytes() + b"\0" + name.encode()
+               for cpu in runs for source in ("paper", "crlf_paper") for name in ("groups.json", "fk.csv")}
+    assert len(outputs) == 2  # one groups report and one CSV

@@ -1,8 +1,10 @@
+import contextlib
 import json
 import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +151,9 @@ SPLIT_CASES = {
     "zero vector": "\n".join(VALID[:3] + [record("d", [0, 0.0])]) + "\n",
     "integer past the digit limit": "\n".join(VALID[:3] + [record("d", [1.0, 2.0]).replace(
         "1.0", "1" * 5000)]) + "\n",
+    # the first part has the fewest values per byte, so the array sized from it overflows
+    "a long first line, so the sized array overflows": "\n".join(
+        [record("a" * 300, [3.0, 4.0])] + VALID[1:]) + "\n",
 }
 
 
@@ -159,9 +164,17 @@ def test_pooled_and_in_process_parses_agree(tmp_path, monkeypatch, name, normali
         pytest.skip("this interpreter converts integers of any length")
     path = tmp_path / "e.jsonl"
     path.write_bytes(SPLIT_CASES[name].encode())
-    parts = []
+    parts = []  # how many parts each parse took
     map_lines = jsonio.map_lines
-    monkeypatch.setattr(jsonio, "map_lines", lambda *args: parts.append(map_lines(*args)) or parts[-1])
+
+    def map_counted(*args):
+        parts.append(0)
+        with contextlib.closing(map_lines(*args)) as results:
+            for result in results:
+                parts[-1] += 1
+                yield result
+
+    monkeypatch.setattr(jsonio, "map_lines", map_counted)
 
     def parse(p):
         return parse_embedding_file(p, normalize=normalize)
@@ -171,8 +184,10 @@ def test_pooled_and_in_process_parses_agree(tmp_path, monkeypatch, name, normali
     if name.startswith("valid"):
         assert isinstance(in_process, list)
     if name.startswith("valid") or "across" in name:
-        assert parts[-1] is not None  # every part passed
-        assert len(parts[-1]) > 1 or "lone CR" in name  # files are cut only after a "\n"
+        # every part passed; files are cut only after a "\n"
+        assert parts[-1] == (1 if "lone CR" in name else 4)
+    if "overflows" in name:
+        assert 1 < parts[-1] < 4  # the part that did not fit was the last one taken
 
 
 def test_a_pipe_is_read_once_in_this_process(tmp_path, pooled):
@@ -183,6 +198,24 @@ def test_a_pipe_is_read_once_in_this_process(tmp_path, pooled):
     ds = parse_embedding_file(pipe)
     writer.join(timeout=10)
     assert not writer.is_alive() and ds.ids == ("a", "b", "c", "d")
+
+
+def test_a_pooled_parse_holds_about_one_copy_of_the_vectors(paper_dir, tmp_path, monkeypatch):
+    # each part's vectors are copied into the array, sized from the first part, as they
+    # arrive: the array, its slack of about one part, the parts on their way into it and the ids
+    monkeypatch.setattr(jsonio, "_cpus", lambda: 2)
+    small = tmp_path / "small.jsonl"
+    small.write_text(SPLIT_CASES["valid"])
+    with pytest.MonkeyPatch.context() as mp:  # the pool's modules are imported outside the trace
+        mp.setattr(jsonio, "POOL_MIN_VALUES", 1)
+        parse_embedding_file(small, normalize=True)
+    tracemalloc.start()
+    try:
+        dataset = parse_embedding_file(paper_dir / "paper.jsonl", normalize=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * dataset.vectors.nbytes, peak / dataset.vectors.nbytes
 
 
 def test_write_then_parse_is_identical(tmp_path):

@@ -251,13 +251,13 @@ def test_a_failing_worker_raises_in_the_caller(tmp_path, pooled, monkeypatch, ch
 
 
 def _pid_slice(text, start, stop):
-    return np.array([os.getpid()], dtype=np.float64).tobytes()
+    return np.full(stop - start, os.getpid(), dtype=np.float64).tobytes()  # one per byte: every part fits
 
 
 def test_large_files_are_read_in_other_processes(tmp_path, pooled, monkeypatch):
     lines = tmp_path / "lines.jsonl"
     lines.write_text("".join(f'{{"line": {i}}}\n' for i in range(4)))
-    pids = jsonio.map_lines(lines, lambda numbered: os.getpid())
+    pids = [pid for share, pid in jsonio.map_lines(lines, lambda numbered: os.getpid())]
     assert len(pids) == 4 and os.getpid() not in pids
 
     monkeypatch.setattr(jsonio, "_parse_slice", _pid_slice)
@@ -285,18 +285,22 @@ def test_map_parts_cuts_at_the_size_rule_only(pooled, monkeypatch):
     monkeypatch.setattr(jsonio, "POOL_MIN_VALUES", 20)
     assert jsonio._map_parts(_part_fails(ArithmeticError()), 0, 19, cut) is None
     assert cuts == []
-    assert jsonio._map_parts(lambda *part: part, 0, 20, cut) == [(0, 6), (6, 11), (11, 16), (16, 20)]
-    assert cuts == [5, 10, 15]
+    parts = jsonio._map_parts(lambda *part: part, 0, 20, cut)
+    assert cuts == [5, 10, 15]  # before any part is taken
+    assert [part for share, part in parts] == [(0, 6), (6, 11), (11, 16), (16, 20)]
 
 
 @pytest.mark.parametrize("error", [ParseError("part"), ValueError("part")], ids=["ParseError", "ValueError"])
-def test_map_parts_gives_none_when_a_part_breaks_a_rule(pooled, error):
-    assert jsonio._map_parts(_part_fails(error), 0, 20, lambda offset: offset) is None
+def test_map_parts_raises_a_rule_break_as_its_part_is_taken(pooled, error):
+    parts = jsonio._map_parts(_part_fails(error), 0, 20, lambda offset: offset)
+    assert [next(parts), next(parts)] == [(0.25, (0, 5)), (0.25, (5, 10))]
+    with pytest.raises(type(error), match="part"):
+        next(parts)
 
 
 def test_map_parts_raises_any_other_error_of_a_part(pooled):
     with pytest.raises(ArithmeticError, match="part"):
-        jsonio._map_parts(_part_fails(ArithmeticError("part")), 0, 20, lambda offset: offset)
+        list(jsonio._map_parts(_part_fails(ArithmeticError("part")), 0, 20, lambda offset: offset))
 
 
 def test_more_workers_than_cpus_keep_the_order():

@@ -1,17 +1,19 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pedbank import quantizer
-from pedbank.errors import DimensionError, PreconditionError
+from pedbank.errors import DimensionError, NumericalError, PreconditionError
 from pedbank.quantizer import (
     Codebook,
     KMeansConfig,
     assignment_report,
     kmeans_with_objectives,
     quantize,
+    route,
 )
 
 from support import make_dataset
@@ -119,6 +121,25 @@ class TestKMeans:
             kmeans_with_objectives(make_dataset(pts), KMeansConfig(n=4, seed=0))
         assert kmeans_with_objectives(make_dataset(pts), KMeansConfig(n=3, seed=0))[0].n == 3
 
+    def test_an_overflowing_squared_distance_raises_naming_the_step(self):
+        # finite rows whose squared distances pass the float range; pyproject turns NumPy's
+        # RuntimeWarning into an error, so the test also fails if one is printed
+        pts = np.random.default_rng(6).normal(size=(120, 8)) * 1e160
+        with pytest.raises(NumericalError, match=r"^non-finite squared distances in k-means seeding$"):
+            kmeans_with_objectives(make_dataset(pts), KMeansConfig(n=5, seed=0))
+
+    def test_holds_one_full_size_array_at_a_time(self):
+        # the (P, d) differences go into one buffer and the distances are (P, N); the distinct
+        # rows are copied one at a time. Traced from the call on, so the input is not counted
+        ds = make_dataset(np.random.default_rng(7).normal(size=(600, 512)))
+        tracemalloc.start()
+        try:
+            kmeans_with_objectives(ds, KMeansConfig(n=50, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * ds.vectors.nbytes, peak / ds.vectors.nbytes
+
     def test_rejects_empty_dataset(self):
         with pytest.raises(PreconditionError, match="empty"):
             kmeans_with_objectives(make_dataset([]), KMeansConfig(n=1, seed=0))[0]
@@ -169,6 +190,13 @@ class TestQuantize:
             base = quantize(p, cb)
             for s in (0.5, 2.0, 3.7, 1e3, 1e-3):
                 assert quantize(s * p, cb) == base
+
+    def test_an_overflowing_score_raises(self):
+        codebook = Codebook(np.eye(8) * 1e160)
+        with pytest.raises(NumericalError, match=r"^non-finite routing scores$"):
+            route(np.full((3, 8), 1e160), codebook)
+        with pytest.raises(NumericalError, match=r"^non-finite routing scores$"):
+            quantize(np.full(8, -1e160), codebook)
 
     def test_dimension_mismatch(self):
         cb = Codebook(np.eye(2))
