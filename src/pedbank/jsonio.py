@@ -23,15 +23,16 @@ format fills with their ``float.__repr__``. The bytes are those
 Large inputs are read and written on every CPU, by one size rule (at least
 ``POOL_MIN_VALUES`` values, on a platform that reports more than one CPU
 available to the process) and through one map, ``_pooled_map``, which forks
-its workers: they format the chunks of a large array, and they parse a
-JSON-lines file (``map_lines``) or the flat array of a document, which
-``json`` itself finds (``read_document``), in the parts that ``_map_parts``
-cuts, each read from the descriptor the parent opened; ``gather`` copies
-each into one array as it arrives and holds the readers' fall-back. The
-bytes written, the arrays read and every error do not depend on which way
-ran. Each map's calls go only to its own workers, so readers and writers may
-run in several threads at once. Every writer goes through ``replacing``: a
-failed write leaves a file as it was.
+workers that each send their results, pickled once, through a pipe of their
+own: they format the chunks of a large array, and they parse a JSON-lines
+file (``map_lines``) or the flat array of a document, which ``json`` itself
+finds (``read_document``), in the parts that ``_map_parts`` cuts, each read
+from the descriptor the parent opened; ``gather`` copies each into one array
+as it arrives and holds the readers' fall-back. The bytes written, the
+arrays read and every error do not depend on which way ran. Each map's
+calls go only to its own workers, so readers and writers may run in several
+threads at once. Every writer goes through ``replacing``: a failed write
+leaves a file as it was.
 """
 
 from __future__ import annotations
@@ -60,18 +61,14 @@ _ARRAYS = (list, np.ndarray)
 # about 2.5 MB for the kernel's arrays.
 CHUNK_VALUES = 1 << 14
 # The size rule of the writer and of both readers: the least work, in values,
-# that goes to worker processes. Starting the workers and passing work and
-# results between processes costs tens of milliseconds. Medians of 7 on two
-# CPUs, in a 250 MB process, in-process against pooled: writing 65 536 values
-# took 38 and 59 ms, 131 072 values 71 to 73 and 63 to 67 ms (two runs),
-# 262 144 values 140 and 119 ms, 524 288 values 230 and 159 ms, 1 048 576
-# values 405 and 298 ms; reading a JSON-lines file with normalization and a
-# flat array, 65 536 values took 49 and 42 ms against 48 and 42 ms pooled,
-# 131 072 values 95 and 83 ms against 74 and 68 ms in one run, 99 and 86
-# against 100 and 85 ms in another, 262 144 values 186 and 158 ms against
-# 146 and 128 ms. Both gain from 2**18 on in every run. The bank and
-# parameter files stay in-process; a 1000 x 512 embeddings file and a
-# 100 x 7 x 7 x 256 feature batch are pooled, read and written.
+# that goes to worker processes. Medians of 25 on two CPUs, in a 250 MB
+# process, in-process against pooled, in three runs: writing 131 072 values
+# took 32 to 34 against 34 to 37 ms, and reading them as a JSON-lines file
+# with normalization and as a flat array 43 to 48 and 40 to 43 ms against 39
+# to 53 and 36 to 46 ms; 262 144 values took 63 to 68, 90 to 104 and 85 to 92
+# ms against 53 to 62, 69 to 94 and 62 to 76 ms, a gain in every run. The
+# bank and parameter files stay in-process; a 1000 x 512 embeddings file and
+# a 100 x 7 x 7 x 256 feature batch are pooled, read and written.
 POOL_MIN_VALUES = 1 << 18
 # Bytes of JSON text per value, by which the readers count the values of a
 # file: a shortest round-trip float64 and its ", " separator, as
@@ -494,57 +491,67 @@ def _workers(values: int, parts: int) -> int:
 
 def _pooled_map(function, *iterables, workers: int):
     """``map(function, *iterables)``, in order; with more than one worker,
-    the calls run in a ``ProcessPoolExecutor`` of as many forked processes.
-    ``function`` and the arguments reach the workers through the fork, as
-    the arguments of the pool's initializer, which copies no memory until it
-    is written: the pool is sent only the index of each call. Spawned
-    workers would import NumPy and this package again, and receive the
-    readers' text pickled. Each map's calls live only in its own workers, so
-    maps may run in several threads at once, with POSIX's caveats on a fork
-    from several threads (a lock another thread held stays held).
-
-    Each worker pickles its result, and the caller's thread unpickles it:
-    objects the executor's thread builds land in a heap of that thread,
-    which the process keeps. On two CPUs, the ``build`` benchmark's peak
-    resident size read 66.7 and 67.0 MB that way, 61.3 and 63.6 MB this way,
-    against 59.0 MB with no workers.
+    call ``i`` runs in worker ``i % workers`` of as many forked processes,
+    which get ``function`` and the calls through the fork and write each
+    ``_outcome``, pickled once, to a pipe of their own, read in call order.
 
     ``function`` must not call BLAS: each forked worker starts a BLAS thread
     per CPU, and on two CPUs attending the two halves of a 100x7x7x256 batch
     in two workers took 0.17 s against 0.06 s in this process.
 
-    An exception a call raises is raised here; a worker that ends without
-    its results raises ``BrokenProcessPool``. Abandoning the map cancels the
-    calls not yet started and waits for the workers to end. A worker whose
-    parent dies ends within about half a second.
+    A call's exception is raised here, its ``__cause__`` the worker's
+    traceback; a worker that ends without its results raises
+    ``BrokenProcessPool``. Closing the map kills its workers, and a worker
+    ends within about half a second of its parent (``_exit_with``).
     """
     calls = list(zip(*iterables))
     if workers < 2:
         yield from itertools.starmap(function, calls)
         return
-    # Imported here: they add about 10 ms to every import of the package.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_keep_calls, initargs=(function, calls, os.getpid()))
+    import signal  # here: only a pooled map needs it, not every import of the package
+    parent, pids, pipes = os.getpid(), [], []
     try:
-        for result in pool.map(_run_call, range(len(calls))):
-            yield pickle.loads(result)
+        for k in range(workers):
+            reader, writer = os.pipe()
+            pipes.append(open(reader, "rb"))
+            with open(writer, "wb") as out:  # the parent's copy is closed after the fork
+                if not (pid := os.fork()):  # the worker, which leaves only through os._exit
+                    try:
+                        threading.Thread(target=_exit_with, args=(parent,), daemon=True).start()
+                        for call in calls[k::workers]:
+                            out.write(_outcome(function, call))
+                            out.flush()
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+        for i in range(len(calls)):
+            try:
+                result, trace = pickle.load(pipes[i % workers])
+            except (EOFError, pickle.UnpicklingError) as exc:  # the pipe ended early
+                from concurrent.futures.process import BrokenProcessPool
+                raise BrokenProcessPool(f"a worker ended without the result of call {i}") from exc
+            if trace is not None:
+                raise result from Exception(trace)
+            yield result
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fh in pipes:
+            fh.close()
 
 
-def _keep_calls(function, calls, parent: int) -> None:
-    """The initializer of each worker of a ``_pooled_map``: its calls, and a
-    daemon thread that ends the worker once ``parent``, the process that
-    forked it, has died. Nothing else would: each worker blocks on the
-    pool's call queue and holds the write end of its pipe open itself.
-    ``parent`` is the pid the parent read itself, so a parent that dies
-    before this initializer runs is caught too."""
-    global _calls
-    _calls = function, calls
-    threading.Thread(target=_exit_with, args=(parent,), daemon=True).start()
+def _outcome(function, call) -> bytes:
+    """``(function(*call), None)``, pickled, or ``(exception, traceback text)``
+    for what the call or that pickling raised, or else pickling the exception."""
+    try:
+        return pickle.dumps((function(*call), None), pickle.HIGHEST_PROTOCOL)
+    except BaseException as exc:
+        import traceback  # here: only a failing call needs it
+        try:
+            return pickle.dumps((exc, traceback.format_exc()), pickle.HIGHEST_PROTOCOL)
+        except BaseException as error:
+            return pickle.dumps((error, traceback.format_exc()), pickle.HIGHEST_PROTOCOL)
 
 
 def _exit_with(parent: int) -> None:
@@ -553,13 +560,6 @@ def _exit_with(parent: int) -> None:
     while os.getppid() == parent:
         time.sleep(0.5)
     os._exit(1)
-
-
-def _run_call(index: int):
-    """The pickled result of call ``index`` of the map whose workers this
-    process was forked for."""
-    function, calls = _calls
-    return pickle.dumps(function(*calls[index]), pickle.HIGHEST_PROTOCOL)
 
 
 def _map_parts(work, start: int, stop: int, cut):

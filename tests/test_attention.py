@@ -653,6 +653,15 @@ class TestGradientsInPlace:
         assert peak <= 4 * assoc + 4 * rows, (peak / assoc, peak / rows)
 
 
+def _python_on_blas_threads(script, threads):
+    """The finished ``python -c script`` in a new interpreter that imports this
+    checkout's package and the tests' ``support``, on ``threads`` OpenBLAS threads."""
+    tests, src = Path(__file__).resolve().parent, Path(attention.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), str(tests), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+
+
 _GRADIENT_DIGESTS = """
 import hashlib, numpy as np
 from pedbank import FeatureBatch, attention_gradients, cross_attend, init_attention
@@ -711,13 +720,9 @@ class TestRowBlocks:
     def test_gradient_bits_do_not_depend_on_the_blas_thread_count(self):
         # 588 rows: each sum over rows adds three row blocks, not one product whose
         # grouping a multithreaded BLAS may choose by the thread count
-        tests, src = Path(__file__).resolve().parent, Path(attention.__file__).resolve().parent.parent
         digests = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-                filter(None, [str(src), str(tests), os.environ.get("PYTHONPATH")])))
-            proc = subprocess.run([sys.executable, "-c", _GRADIENT_DIGESTS], capture_output=True,
-                                  text=True, env=env, timeout=300)
+            proc = _python_on_blas_threads(_GRADIENT_DIGESTS, threads)
             assert (proc.returncode, proc.stderr) == (0, "")
             recomputed, held = proc.stdout.splitlines()
             assert held == recomputed, f"the held trace gives other gradients on {threads} thread(s)"
@@ -799,6 +804,81 @@ class TestHeldTrace:
         for view in (trace.assoc, trace.pre_norm, trace.output):  # views taken once their arrays were marked
             with pytest.raises(ValueError):
                 view.flags.writeable = True
+
+
+# 200 queries, each its own cross_attend call over 8 heads x 50 codewords, so each product is a
+# matrix-vector one; prints one sha256 of the 200 outputs, associations and pre-norm sums, and the
+# queries of every tenth whose output differs from its 1x1 proposal's, bit for bit. cross_attend
+# builds its output batch and trace without their constructors' checks, so those queries' traces
+# also pass the row-sum rule of the AttentionTrace constructor
+_QUERY_DIGEST = """
+import hashlib, json, numpy as np
+from pedbank import AttentionTrace, FeatureBatch, KnowledgeBank, cross_attend, init_attention
+rng = np.random.default_rng(0)
+bank = KnowledgeBank(f_q=rng.normal(size=(50, 512)), f_h=rng.normal(0.0, 0.01, size=(50, 512)))
+params = init_attention(c=256, d=512, d_m=64, heads=8, seed=0)
+digest, differing = hashlib.sha256(), []
+for i, query in enumerate(rng.normal(size=(200, 256))):
+    out, trace = cross_attend(FeatureBatch("query", query.reshape(1, 1, -1)), bank, params)
+    for arr in (out.blocks, trace.assoc, trace.pre_norm):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    if i % 10 == 0:
+        unit, _ = cross_attend(FeatureBatch("proposal", query.reshape(1, 1, 1, -1)), bank, params)
+        AttentionTrace(trace.assoc, trace.pre_norm, trace.output)
+        if not np.array_equal(unit.blocks.reshape(out.blocks.shape), out.blocks):
+            differing.append(i)
+print(json.dumps([digest.hexdigest(), differing]))
+"""
+
+
+def test_single_query_outputs_are_the_same_on_one_blas_thread_as_on_two():
+    digests = {}
+    for threads in ("1", "2"):
+        proc = _python_on_blas_threads(_QUERY_DIGEST, threads)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        digests[threads], differing = json.loads(proc.stdout)
+        assert differing == [], f"queries that differ from their 1x1 proposal on {threads} thread(s)"
+    assert digests["1"] == digests["2"], f"single queries differ on one and two threads of {blas_config()}"
+
+
+# tracemalloc-traced attention_gradients calls on a seeded 100x7x7x256 batch over a 50x512 bank
+# with 8 heads of 64, after an untraced call has folded the bank: one that recomputes the forward
+# and one with the trace of a cross_attend held, which it reads instead; prints each call's peak
+# in MiB and one sha256 per gradient
+_GRADIENT_PEAKS = """
+import hashlib, json, tracemalloc, numpy as np
+from pedbank import FeatureBatch, KnowledgeBank, attention_gradients, cross_attend, init_attention
+rng = np.random.default_rng(0)
+bank = KnowledgeBank(f_q=rng.normal(size=(50, 512)), f_h=rng.normal(0.0, 0.01, size=(50, 512)))
+params = init_attention(c=256, d=512, d_m=64, heads=8, seed=0)
+batch = FeatureBatch("proposal", rng.normal(size=(100, 7, 7, 256)))
+upstream = rng.normal(size=batch.blocks.shape)
+attention_gradients(batch, bank, params, upstream)
+
+def traced_call():
+    tracemalloc.start()
+    grads = attention_gradients(batch, bank, params, upstream)
+    peak = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+    names = ("w_q", "w_k", "w_v", "w_o", "gain", "bias")
+    return {name: hashlib.sha256(getattr(grads, name).tobytes()).hexdigest() for name in names}, peak
+
+recomputed, peak_recomputed = traced_call()
+out, trace = cross_attend(batch, bank, params)
+held, peak_held = traced_call()
+print(json.dumps({"digests": [recomputed, held], "peaks": [peak_recomputed, peak_held]}))
+"""
+
+
+def test_attention_gradients_at_paper_size_peak_below_15_mib():
+    # the calls work over row blocks of 245 rows and peaked at 12.0 and 10.8 MiB, 6 MiB of it
+    # the gradients; one (M, c) array of all 4900 rows is 9.6 MiB
+    proc = _python_on_blas_threads(_GRADIENT_PEAKS, "1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    result = json.loads(proc.stdout)
+    recomputed, held = result["digests"]
+    assert held == recomputed, "the held trace gives other gradients than the recomputed forward"
+    assert max(result["peaks"]) <= 15, f"peaks of {result['peaks']} MiB, forward recomputed and trace held"
 
 
 def relative_error(got, want):

@@ -616,6 +616,29 @@ def test_build_bank_counts_the_assignments_of_the_whole_dataset(paper_dir, tmp_p
         assert proc.returncode == 0, proc.stderr
 
 
+# import pedbank.cli and, given argv[1:], parse that embeddings file and write an array of
+# POOL_MIN_VALUES values to that path, both on every CPU; then print the process-pool modules loaded
+NO_PROCESS_POOL = """
+import sys, numpy as np
+from pedbank import cli, embeddings, jsonio
+if sys.argv[1:]:
+    paper, out = sys.argv[1:]
+    assert jsonio._cpus() > 1
+    assert len(embeddings.parse_embedding_file(paper, normalize=True)) == 1000
+    jsonio.write_documents(out, [{"data": np.zeros(jsonio.POOL_MIN_VALUES)}])
+print(sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["import", "pooled"])
+def test_no_process_pool_module_is_loaded(paper_dir, tmp_path, pooled):
+    # they add about 10 ms to every import; the pooled map forks its workers itself
+    if pooled and jsonio._cpus() < 2:
+        pytest.skip("one CPU: nothing is forked")
+    proc = python_in_subprocess("-c", NO_PROCESS_POOL, *[paper_dir / "paper.jsonl", tmp_path / "out.json"] * pooled)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
 @pytest.fixture(scope="module")
 def one_cpu_bank(paper_dir):
     """``bank_one_cpu.json``, which build-bank writes from ``paper.jsonl`` on one

@@ -250,6 +250,66 @@ def test_a_failing_worker_raises_in_the_caller(tmp_path, pooled, monkeypatch, ch
     assert os.listdir(tmp_path) == ["d.json"]  # no temporary file left behind
 
 
+class _DoesNotPickle(Exception):
+    def __reduce__(self):
+        raise TypeError("this exception does not pickle")
+
+
+def _returns_a_lock(i):
+    return threading.Lock()
+
+
+def _raises_what_does_not_pickle(i):
+    raise _DoesNotPickle()
+
+
+def _raises_an_arithmetic_error(i):
+    raise ArithmeticError(f"call {i} failed")
+
+
+def _second_worker_kills_itself(i):
+    if i == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return i
+
+
+def _killed_while_sending(i):
+    """Call 0 waits 1.5 s; call 1's worker returns 1 MiB, more than a pipe
+    holds, and is killed 0.5 s later, part-way through sending it."""
+    if i == 0:
+        time.sleep(1.5)
+        return i
+    threading.Timer(0.5, os.kill, (os.getpid(), signal.SIGKILL)).start()
+    return bytes(1 << 20)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (_returns_a_lock, TypeError, "cannot pickle '_thread.lock'"),
+    (_raises_what_does_not_pickle, TypeError, "this exception does not pickle"),
+    (_raises_an_arithmetic_error, ArithmeticError, "call 0 failed"),
+    (_second_worker_kills_itself, BrokenProcessPool, ""),
+    (_killed_while_sending, BrokenProcessPool, ""),
+], ids=["result does not pickle", "exception does not pickle", "raises", "killed", "killed while sending"])
+def test_a_pooled_map_raises_what_its_worker_met(call, error, message):
+    raised = []
+
+    def consume():
+        try:
+            list(jsonio._pooled_map(call, range(4), workers=2))
+        except Exception as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=consume, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "the map did not end"
+    assert [type(exc) for exc in raised] == [error] and message in str(raised[0])
+    if error is ArithmeticError:  # chained to the worker's traceback
+        assert "_raises_an_arithmetic_error" in str(raised[0].__cause__)
+    with pytest.raises(ChildProcessError):  # no child left to reap
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _pid_slice(text, start, stop):
     return np.full(stop - start, os.getpid(), dtype=np.float64).tobytes()  # one per byte: every part fits
 
@@ -307,10 +367,19 @@ def test_more_workers_than_cpus_keep_the_order():
     assert list(jsonio._pooled_map(abs, range(-50, 0), workers=5)) == list(range(50, 0, -1))
 
 
-def test_an_abandoned_map_ends_its_workers():
-    results = jsonio._pooled_map(abs, range(-20, 0), workers=2)
+def _sleeps_after_the_first(x):
+    if x != -20:
+        time.sleep(60)
+    return abs(x)
+
+
+@pytest.mark.parametrize("call", [abs, _sleeps_after_the_first], ids=["quick calls", "60 s calls"])
+def test_an_abandoned_map_ends_its_workers(call):
+    results = jsonio._pooled_map(call, range(-20, 0), workers=2)
     assert next(results) == 20
+    start = time.monotonic()
     results.close()
+    assert time.monotonic() - start < 2, "closing the map waited for its running calls"
     with pytest.raises(ChildProcessError):  # no child left to reap
         os.waitpid(-1, os.WNOHANG)
 
