@@ -38,11 +38,11 @@ MODES = (PROPOSAL, QUERY)
 
 ATTENTION_PARAMS_VERSION = 1
 _PARAM_ARRAYS = ("w_q", "w_k", "w_v", "w_o", "gain", "bias")
-# The longest inner dimension summed in one BLAS call, by the value product
-# over the bank entries and by the row blocks over which attention runs and
-# ``attention_gradients`` sums; longer ones are cut into nearly equal blocks
-# added in a fixed order. On OpenBLAS 0.3.31 on two CPUs (Haswell, now SkylakeX
-# kernels) products summing over more than 256 changed bits with the thread count.
+# The longest inner dimension summed in one BLAS call, by the value product over the bank
+# entries and by the row blocks of attention and of its gradient sums; longer ones are cut
+# into nearly equal blocks added in a fixed order. On OpenBLAS 0.3.31 on two CPUs (SkylakeX
+# kernels) the value product over 400 entries in one call changed output and gradient bits
+# with the thread count; row blocks of up to 512 kept them, and keep 256 so no bit moves.
 INNER_MAX = 256
 
 

@@ -108,6 +108,7 @@ def cmd_build_bank(args) -> int:
             train_hints=(args.hints == "on"),
         ),
     )
+    del pedestrians, backgrounds  # not held while the bank is written
     meta = {
         "source": str(args.embeddings),
         "n": str(args.n),
@@ -132,20 +133,20 @@ def cmd_build_bank(args) -> int:
 def cmd_inspect(args) -> int:
     loaded = bank.load_bank(args.bank)
     dataset = embeddings.parse_embedding_file(args.embeddings, normalize=args.normalize)
-    codebook = quantizer.Codebook(loaded.f_q)
-    assigned = quantizer.assignment_report(dataset, codebook).tolist()
+    assigned = quantizer.assignment_report(dataset, quantizer.Codebook(loaded.f_q)).tolist()
     counts = np.bincount(assigned, minlength=loaded.n).tolist()
     groups: dict[str, list[str]] = {str(i): [] for i in range(loaded.n)}
     for rec_id, i in zip(dataset.ids, assigned):
         groups[str(i)].append(rec_id)
+    del dataset  # not held while the reports are written
     print(f"bank {args.bank}: n={loaded.n}, dim={loaded.dim}")
-    print(f"records: {len(dataset)}")
+    print(f"records: {len(assigned)}")
     for i, count in enumerate(counts):
         print(f"codeword {i}: {count}")
     groups_out = args.groups_out or f"{args.bank}.groups.json"
     doc = {
         "n": loaded.n,
-        "records": len(dataset),
+        "records": len(assigned),
         "counts": counts,
         "groups": groups,
     }

@@ -75,9 +75,9 @@ def parse_embedding_file(path, normalize: bool = False) -> EmbeddingDataset:
     record. With ``normalize`` set, each vector is L2-normalized at
     ingestion. Errors name the offending 1-based line. A large file is
     parsed on every CPU (``jsonio.map_lines``) into one array (``gather``);
-    where a part fails or does not fit, or the parts disagree on the
-    dimension or share an id, the file is parsed again in this process, so
-    the result and every error are the same.
+    where a part fails, or the parts disagree on the dimension or share an
+    id, the file is parsed again in this process, so the result and every
+    error are the same.
     """
     ids, labels, dims = [], [], set()
 

@@ -21,18 +21,18 @@ format fills with their ``float.__repr__``. The bytes are those
 ``json.dumps`` and ``repr`` write.
 
 Large inputs are read and written on every CPU, by one size rule (at least
-``POOL_MIN_VALUES`` values, on a platform that reports more than one CPU
-available to the process) and through one map, ``_pooled_map``, which forks
-workers that each send their results, pickled once, through a pipe of their
-own: they format the chunks of a large array, and they parse a JSON-lines
-file (``map_lines``) or the flat array of a document, which ``json`` itself
-finds (``read_document``), in the parts that ``_map_parts`` cuts, each read
-from the descriptor the parent opened; ``gather`` copies each into one array
-as it arrives and holds the readers' fall-back. The bytes written, the
-arrays read and every error do not depend on which way ran. Each map's
-calls go only to its own workers, so readers and writers may run in several
-threads at once. Every writer goes through ``replacing``: a failed write
-leaves a file as it was.
+``POOL_MIN_VALUES`` values, where the process may run on more than one CPU) and
+through one map, ``_pooled_map``, which forks workers that each send their
+results, pickled once, through a pipe of their own: they format the chunks of a
+large array, and they parse a JSON-lines file (``map_lines``) or the flat array
+of a document, which ``json`` itself finds (``read_document``), in parts cut
+after a line break or a comma (``_find``); ``gather`` copies each into one
+array, grown in place, as it arrives. Only a part that breaks a rule, or parts
+that disagree on the dimension or share an id, send a file back to one process,
+never long numbers. The bytes written, the arrays read and every error do not
+depend on which way ran. Each map's calls go only to its own workers, so
+readers and writers may run in several threads at once. Every writer goes
+through ``replacing``: a failed write leaves a file as it was.
 """
 
 from __future__ import annotations
@@ -100,21 +100,21 @@ def read_lines(path, data: bytes | None = None):
 
 def map_lines(path, function, *args):
     """``(share, function(read_lines(path, data), *args))`` for the bytes
-    ``data`` of each range of ``path`` cut at line breaks, ``share`` of the
-    file, in order, as the caller takes them, through ``_map_parts``, in
-    forked processes that read their ranges from the descriptor this process
-    opened, so all come from the same file, which stays open until the
-    caller has taken every range or closed the iterator.
+    ``data`` of each range of ``path`` cut after a ``\\n`` (``_find``),
+    ``share`` of the file, in order, as the caller takes them, through
+    ``_map_parts``, in forked processes that read their ranges from the
+    descriptor this process opened, so all come from the same file, which
+    stays open until the caller has taken every range or closed the iterator.
 
     Nothing when ``path`` is not a regular file (a pipe is read once, in
     order) and wherever ``_map_parts`` gives ``None``: the caller then reads
-    the file through ``read_lines``, which decides.
+    the file through ``read_lines``, as where a part raises, which decides.
     """
     if os.path.isfile(path):
         with open(path, "rb") as fh:  # a cut at byte ``at`` ends the line that holds it
-            fd = fh.fileno()
-            yield from _map_parts(lambda a, b: function(read_lines(path, os.pread(fd, b - a, a)), *args), 0,
-                                  os.fstat(fd).st_size, lambda at: fh.seek(at) + len(fh.readline())) or ()
+            fd, size = fh.fileno(), os.fstat(fh.fileno()).st_size
+            yield from _map_parts(lambda a, b: function(read_lines(path, os.pread(fd, b - a, a)), *args), 0, size,
+                                  lambda at: _find(fd, b"\n", at, size, io.DEFAULT_BUFFER_SIZE)) or ()
 
 
 def read_document(path, keys, flat=None) -> dict:
@@ -586,20 +586,20 @@ def _map_parts(work, start: int, stop: int, cut):
 def gather(parts, take) -> np.ndarray | None:
     """The float64 bytes ``take(result)`` of each ``(share, result)`` of
     ``_map_parts``, in order, in one array that owns its data: each part is
-    copied as it arrives and dropped, into an array sized from the first
-    part (its values over its share, plus one part) and shrunk in place at
-    the end. ``None`` where a part does not fit or raises a ``PedbankError``
-    or ``ValueError``: the caller reads the text in this process, which
-    decides. ``parts`` is closed on every exit, which ends its workers.
+    copied as it arrives and dropped, into an array grown in place where a
+    part does not fit (to the parts so far over their share, plus one part,
+    and at least twofold) and shrunk in place at the end. ``None`` only where
+    a part raises a ``PedbankError`` or ``ValueError``: the caller reads the
+    text in this process, which decides. ``parts`` is closed on every exit.
     """
-    out, at = np.empty(0), 0
+    out, at, done = np.empty(0), 0, 0.0
     with contextlib.closing(parts):
         try:
-            for i, (share, result) in enumerate(parts):
+            for share, result in parts:
                 values = np.frombuffer(take(result))
-                out = out if i else np.empty(int(len(values) / share) + len(values))
-                if at + len(values) > len(out):
-                    return None
+                done += share
+                if at + len(values) > len(out):  # no view of it is left, as at the end
+                    out.resize(max(int((at + len(values)) / done) + len(values), 2 * len(out)), refcheck=False)
                 out[at:at + len(values)] = values
                 at += len(values)
         except (PedbankError, ValueError):
@@ -623,13 +623,12 @@ def _parse_flat(fd: int, key: str) -> dict | None:
         return None
     pattern = re.compile(rb'"%s"[ \t\n\r]*:[ \t\n\r]*\[' % re.escape(key.encode()))
     head = b""  # read in windows that double
-    while not (found := pattern.search(head)) and (
-            more := os.pread(fd, max(TEXT_BYTES_PER_VALUE, len(head)), len(head))):
+    while not (found := pattern.search(head)):
+        if not (more := os.pread(fd, max(TEXT_BYTES_PER_VALUE, len(head)), len(head))):
+            return None
         head += more
-    start = found.end() if found else size
-    stop = _find(fd, b"]", start, size, CHUNK_VALUES * TEXT_BYTES_PER_VALUE) + 1
-    if not stop:
-        return None
+    start = found.end()
+    stop = _find(fd, b"]", start, size, CHUNK_VALUES * TEXT_BYTES_PER_VALUE)
     constants = []
     try:
         doc = json.loads((head[:start - 1] + b"NaN" + os.pread(fd, size - stop, stop)).decode("utf-8"),
@@ -639,18 +638,18 @@ def _parse_flat(fd: int, key: str) -> dict | None:
     if type(doc) is not dict or doc.get(key) is not constants or len(constants) != 1:
         return None
     parts = _map_parts(functools.partial(_parse_slice, fd), start, stop,
-                       lambda at: _find(fd, b",", at, stop, TEXT_BYTES_PER_VALUE) + 1 or stop)
+                       lambda at: _find(fd, b",", at, stop, TEXT_BYTES_PER_VALUE))
     doc[key] = gather(parts, bytes) if parts is not None else None
     return doc if doc[key] is not None else None
 
 
 def _find(fd: int, byte: bytes, at: int, stop: int, width: int) -> int:
-    """The offset of the first ``byte`` from ``at`` to ``stop`` of ``fd``, or -1."""
+    """The offset after the first ``byte`` from ``at`` to ``stop`` of ``fd``, or ``stop``."""
     while at < stop and (window := os.pread(fd, min(width, stop - at), at)):
         if (found := window.find(byte)) >= 0:
-            return at + found
+            return at + found + 1
         at += len(window)
-    return -1
+    return stop
 
 
 def _parse_slice(fd: int, start: int, stop: int) -> bytes:

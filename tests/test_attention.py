@@ -1016,8 +1016,9 @@ FLAT_CASES = {
     "split: a string holding ] after data": '{%s, %s, "note": "a]b"}' % (HEADER, DATA),
     "split: a wrong length": '{%s, "data": [1.0, 2.0, 3.0]}' % HEADER,
     "split: a cut at the closing ]": '{%s, "data": [1.0, 2.0, 3.0, 400.0]}' % HEADER,
-    # the first part has the fewest values per byte, so the array sized from it overflows
-    "long values first, so the sized array overflows": '{%s, "data": [1.%s, 2, 3, 4]}' % (HEADER, "0" * 30),
+    # the first part has the fewest values per byte, so the array sized from it grows
+    "split: long values first, so the array grows": '{%s, "data": [1.%s, 2, 3, 4]}' % (HEADER, "0" * 30),
+    "split: normal values, then zeros": '{%s, "data": [0.12345678901234568, 0.0, 0.0, 0.0]}' % HEADER,
     "data twice": "{%s, %s, %s}" % (HEADER, DATA, DATA.replace("1.0", "7.0")),
     "split: another key twice": '{"m": 2, %s, %s}' % (HEADER, DATA),
     "nested data": '{%s, "data": [[1.0, 2.0], [3.0, 4.0]]}' % HEADER,

@@ -727,3 +727,22 @@ def test_inspect_and_the_readers_errors_are_the_same_on_one_cpu_as_on_all_of_the
     outputs = {(tmp_path / cpu / source / name).read_bytes() + b"\0" + name.encode()
                for cpu in runs for source in ("paper", "crlf_paper") for name in ("groups.json", "fk.csv")}
     assert len(outputs) == 2  # one groups report and one CSV
+
+
+def test_complement_writes_the_same_bytes_on_one_cpu_as_on_all_of_them(tmp_path):
+    # the batch holds more values than jsonio.POOL_MIN_VALUES, so it is read and the output
+    # formatted in forked workers on all CPUs and in the one process on one; BLAS runs as many
+    # threads as CPUs, and 8 heads over 50 codewords make the value product sum over 400 bank
+    # entries, more than attention.INNER_MAX, so a product summed by one BLAS call could differ
+    if jsonio._cpus() < 2:
+        pytest.skip("one CPU: nothing is forked, so there is no other way to run")
+    small = tmp_path / "small.jsonl"
+    assert run("gen-synthetic", small, "--pedestrians", 60, "--backgrounds", 20, "--d", 16) == EXIT_OK
+    assert run("build-bank", small, tmp_path / "small_bank.json", "--n", 50, "--steps", 50) == EXIT_OK
+    blocks = np.random.default_rng(0).normal(size=(jsonio.POOL_MIN_VALUES // 256 + 1, 1, 1, 256))
+    save_feature_batch(FeatureBatch("proposal", blocks), tmp_path / "large.json")
+    runs = [start_python("-m", "pedbank", "complement", "small_bank.json", "large.json", f"out_{cpu}.json",
+                         cwd=tmp_path, one_cpu=cpu == "one_cpu") for cpu in ("one_cpu", "all_cpus")]
+    for proc in map(finished, runs):
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert (tmp_path / "out_one_cpu.json").read_bytes() == (tmp_path / "out_all_cpus.json").read_bytes()

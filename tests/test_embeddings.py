@@ -151,9 +151,12 @@ SPLIT_CASES = {
     "zero vector": "\n".join(VALID[:3] + [record("d", [0, 0.0])]) + "\n",
     "integer past the digit limit": "\n".join(VALID[:3] + [record("d", [1.0, 2.0]).replace(
         "1.0", "1" * 5000)]) + "\n",
-    # the first part has the fewest values per byte, so the array sized from it overflows
-    "a long first line, so the sized array overflows": "\n".join(
+    # the first part has the fewest values per byte, so the array sized from it grows
+    "a long first line, so the array grows": "\n".join(
         [record("a" * 300, [3.0, 4.0])] + VALID[1:]) + "\n",
+    "normal rows, then zero rows": "\n".join(
+        [record("a", [0.12345678901234568, -1.2345678901234568e-07, 9.87654321098765, -0.5555555555555556])]
+        + [record(rec_id, [0.0] * 4) for rec_id in "bcdef"]) + "\n",
 }
 
 
@@ -183,11 +186,11 @@ def test_pooled_and_in_process_parses_agree(tmp_path, monkeypatch, name, normali
     assert pooled == in_process
     if name.startswith("valid"):
         assert isinstance(in_process, list)
-    if name.startswith("valid") or "across" in name:
+    if name.startswith("valid") or "across" in name or "grows" in name:
         # every part passed; files are cut only after a "\n"
         assert parts[-1] == (1 if "lone CR" in name else 4)
-    if "overflows" in name:
-        assert 1 < parts[-1] < 4  # the part that did not fit was the last one taken
+    if "zero rows" in name and not normalize:  # normalizing a zero row is an error
+        assert parts[-1] == 6 and isinstance(in_process, list)
 
 
 def test_a_pipe_is_read_once_in_this_process(tmp_path, pooled):
